@@ -13,8 +13,8 @@ byte-identical apart from wall_time_ms.  The text format is a human
 rendering of the same data and is not a stable interface.
 
 Exit codes: 0 success; 1 input or parameter errors (including usage); 2
-numerical failures (svd/eig non-convergence, LP failure); 3 an undecided
-verdict when --require-decision was set.
+numerical failures (svd/eig non-convergence, LP failure, overflow); 3 an
+undecided verdict when --require-decision was set.
 """
 
 from __future__ import annotations
@@ -496,7 +496,7 @@ def run(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"entnorms: error: {exc}", file=sys.stderr)
         return 1
-    except RuntimeError as exc:
+    except (ArithmeticError, RuntimeError) as exc:
         print(f"entnorms: numerical failure: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kyfan
-from .dualnorms import gamma_bounds
+from .dualnorms import _require_density, gamma_bounds
 from .errors import EntnormsError, NumericalError, ParameterError, PreconditionError
 from .linalg import (
     BipartiteOperator,
@@ -63,18 +63,6 @@ class DetectionReport:
     def __post_init__(self):
         if self.detected != (self.value > self.threshold + self.tol):
             raise ParameterError("detected flag inconsistent with value and threshold")
-
-
-def _require_density(rho: BipartiteOperator, what: str) -> None:
-    if not rho.hermitian:
-        raise PreconditionError(f"{what} requires a hermitian density matrix")
-    lam, _ = eig_hermitian(rho.mat)
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    if lam[-1] < -1e-9 * scale:
-        raise PreconditionError(f"{what}: input is not PSD (min eigenvalue {lam[-1]:.3e})")
-    tr = float(np.real(np.trace(rho.mat)))
-    if abs(tr - 1.0) > 1e-9:
-        raise PreconditionError(f"{what}: trace {tr} is not 1 within 1e-9")
 
 
 def realignment_value(rho: BipartiteOperator, k: int) -> float:

@@ -41,6 +41,7 @@ from .sknorm import (
     _check_k,
     _exact_interval,
     _finish_interval,
+    _random_sr_vec,
     seesaw_lower,
     sk_pure,
 )
@@ -414,10 +415,8 @@ def decomposition_oracle(
     rng = np.random.default_rng(seed)
     n_random = budget - len(lefts_l)
     for _ in range(n_random):
-        gl = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-        gr = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-        lefts_l.append(_truncate_unit(gl.reshape(-1), m, n, k))
-        rights_l.append(_truncate_unit(gr.reshape(-1), m, n, k))
+        lefts_l.append(_random_sr_vec(rng, m, n, k))
+        rights_l.append(_random_sr_vec(rng, m, n, k))
 
     lefts = np.array(lefts_l)
     rights = np.array(rights_l)
@@ -467,15 +466,6 @@ def decomposition_oracle(
     )
     upper = certified_upper_from_decomposition(x, dec)
     return upper, dec
-
-
-def _truncate_unit(vec: np.ndarray, m: int, n: int, k: int) -> np.ndarray:
-    pieces = _chunk_vector(vec, m, n, k)
-    if not pieces:
-        out = np.zeros(m * n, dtype=np.complex128)
-        out[0] = 1.0
-        return out
-    return pieces[0][0]
 
 
 def robustness_bounds(
@@ -529,13 +519,10 @@ def robustness_bounds(
 def robustness_to_entanglement(r: NormInterval) -> NormInterval:
     """Rescale a robustness interval for a density matrix to the
     generalized-robustness convention E = (R - 1) / 2."""
-    return NormInterval(
-        (r.lower - 1.0) / 2.0,
-        (r.upper - 1.0) / 2.0,
-        r.lower_method,
-        r.upper_method,
-        r.exact,
-    )
+    # The shift can move a value next to 0, where a relative width no
+    # longer holds, so only identical endpoints stay exact.
+    lower, upper = (r.lower - 1.0) / 2.0, (r.upper - 1.0) / 2.0
+    return NormInterval(lower, upper, r.lower_method, r.upper_method, r.exact and lower == upper)
 
 
 @dataclass(frozen=True)
@@ -610,6 +597,20 @@ class SnCertification:
     decomposition: Decomposition | None
 
 
+def _require_density(rho: BipartiteOperator, what: str) -> None:
+    """Hermitian, PSD within 1e-9 of the spectral scale, unit trace within
+    DENSITY_TRACE_ATOL; PreconditionError otherwise."""
+    if not rho.hermitian:
+        raise PreconditionError(f"{what} requires a hermitian density matrix")
+    lam, _ = eig_hermitian(rho.mat)
+    scale = max(1.0, float(np.max(np.abs(lam))))
+    if lam[-1] < -1e-9 * scale:
+        raise PreconditionError(f"{what}: input is not PSD (min eigenvalue {lam[-1]:.3e})")
+    tr = float(np.real(np.trace(rho.mat)))
+    if abs(tr - 1.0) > DENSITY_TRACE_ATOL:
+        raise PreconditionError(f"{what}: trace {tr} is not 1 within {DENSITY_TRACE_ATOL}")
+
+
 def sn_certify(
     rho: BipartiteOperator,
     k: int,
@@ -629,17 +630,9 @@ def sn_certify(
     of a constructed mixture), the constructive Schmidt-chunk split, then
     the LP oracle when a budget is given.  Anything else is undecided.
     """
-    if not rho.hermitian:
-        raise PreconditionError("sn_certify requires a hermitian density matrix")
+    _require_density(rho, "sn_certify")
     m, n = rho.dims
     _check_k(m, n, k)
-    lam, _ = eig_hermitian(rho.mat)
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    if lam[-1] < -1e-9 * scale:
-        raise PreconditionError(f"input is not PSD (min eigenvalue {lam[-1]:.3e})")
-    tr = float(np.real(np.trace(rho.mat)))
-    if abs(tr - 1.0) > DENSITY_TRACE_ATOL:
-        raise PreconditionError(f"input trace {tr} is not 1 within {DENSITY_TRACE_ATOL}")
 
     gb = gamma_bounds(rho, k, restarts=restarts, max_iter=max_iter, seed=seed)
     if gb.lower > 1.0 + tol:

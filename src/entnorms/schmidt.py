@@ -140,13 +140,27 @@ def schmidt_truncate(v: PureState, k: int) -> PureState:
     _check_k(v, k)
     if np.linalg.norm(v.amplitudes) <= 1e-12:
         raise DegenerateInputError("cannot truncate a (numerically) zero vector")
-    u, s, vh = svd(v.matrix())
-    kk = min(k, s.size)
-    w = np.linalg.norm(s[:kk])
-    if w <= 0.0:
+    vec, gain = _truncate_raw(v.amplitudes, v.dim_a, v.dim_b, k)
+    if gain <= 0.0:
         raise DegenerateInputError("leading Schmidt coefficients are all zero")
-    mat = (u[:, :kk] * (s[:kk] / w)) @ vh[:kk, :]
-    return pure_state(mat.reshape(-1), v.dim_a, v.dim_b, require_normalized=False)
+    return pure_state(vec, v.dim_a, v.dim_b, require_normalized=False)
+
+
+def _truncate_raw(u: np.ndarray, m: int, n: int, k: int) -> tuple[np.ndarray, float]:
+    """Top-k Schmidt truncation of a raw vector, normalized.
+
+    Returns (unit vector, gain) where gain is the l2 norm of the k leading
+    Schmidt coefficients of u, i.e. the largest overlap of u with any
+    Schmidt-rank-<=k unit vector; the returned vector attains it.  A zero
+    gain returns u itself.
+    """
+    uu, s, vh = svd(u.reshape(m, n))
+    kk = min(k, s.size)
+    gain = float(np.linalg.norm(s[:kk]))
+    if gain <= 0.0:
+        return u.reshape(-1), 0.0
+    vec = ((uu[:, :kk] * (s[:kk] / gain)) @ vh[:kk, :]).reshape(-1)
+    return vec, gain
 
 
 def _check_k(v: PureState, k: int) -> None:

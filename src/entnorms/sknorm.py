@@ -1,18 +1,27 @@
 """Schmidt-restricted operator norm S(k) and the restricted numerical radius.
 
-For a bipartite operator X,
+For a bipartite operator X and a hermitian operator y,
 
-    |X|_S(k)   = sup |<v|X|w>|   over unit v, w of Schmidt rank <= k,
-    radius_k(X) = sup |<v|X|v>|  over unit v of Schmidt rank <= k (X hermitian).
+    |X|_S(k)    = sup |<v|X|w>|  over unit v, w of Schmidt rank <= k,
+    radius_k(y) = sup |<v|y|v>|  over unit v of Schmidt rank <= k.
 
 Neither supremum is efficiently computable in general, so this module
 produces certified two-sided bounds.  Lower bounds come from alternating
 maximization (see-saw): for fixed w the optimal v is the normalized
 Schmidt truncation of Xw, and symmetrically, so the objective never
 decreases.  Upper bounds come from the operator norm, with closed forms on
-rank-one inputs and at k = min(dims).  Block positivity of y = cI - X is
-decided through the same bounds, and the restricted numerical radius is
-bracketed by bisecting on the shift s in "sI +/- X both k-block positive".
+rank-one inputs and at k = min(dims).
+
+Block positivity and the radius both reduce to the S(k) norm of a shifted
+operator.  For hermitian z with c = lambda_max(z), cI - z is PSD, and on
+PSD operators the S(k) norm is the largest <v|.|v> over Schmidt rank <= k,
+so |cI - z|_S(k) = c - min_v <v|z|v>.  Hence y is k-block positive exactly
+when c >= |cI - y|_S(k), and
+
+    radius_k(y) = max over sigma = +/-1 of |c_s I - sigma y|_S(k) - c_s,
+
+with c_s = lambda_max(sigma y).  Each bracket on the shifted S(k) norm is
+therefore a bracket on either quantity.
 """
 
 from __future__ import annotations
@@ -21,14 +30,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kyfan
 from .errors import ParameterError, PreconditionError
-from .linalg import BipartiteOperator, bipartite, eig_hermitian, svd
-from .schmidt import PureState, pure_state
+from .linalg import BipartiteOperator, eig_hermitian, svd
+from .schmidt import PureState, _truncate_raw, pure_state
 
-EXACTNESS_ATOL = 1e-9
+EXACTNESS_RTOL = 1e-9
 RANK_ONE_RTOL = 1e-12
-PSD_RTOL = 1e-10
+
+
+def _is_exact(lower: float, upper: float) -> bool:
+    return upper - lower <= EXACTNESS_RTOL * max(abs(lower), abs(upper))
 
 
 @dataclass(frozen=True)
@@ -36,8 +47,8 @@ class NormInterval:
     """Certified bracket [lower, upper] for a norm value.
 
     The method tags record which bound produced each endpoint.  exact is set
-    when the two endpoints agree to within 1e-9 (in particular on closed-form
-    paths, where both are the same number).
+    when the two endpoints agree to within 1e-9 relative to the value (in
+    particular on closed-form paths, where both are the same number).
     """
 
     lower: float
@@ -51,8 +62,8 @@ class NormInterval:
             raise ParameterError("interval endpoints must be finite")
         if self.lower > self.upper + 1e-12 * max(1.0, abs(self.upper)):
             raise ParameterError(f"inconsistent interval [{self.lower}, {self.upper}]")
-        if self.exact and self.upper - self.lower > EXACTNESS_ATOL:
-            raise ParameterError("exact flag requires endpoints within 1e-9")
+        if self.exact and not _is_exact(self.lower, self.upper):
+            raise ParameterError("exact flag requires endpoints within 1e-9 relative")
 
     @property
     def width(self) -> float:
@@ -70,7 +81,7 @@ def _finish_interval(lower: float, upper: float, lo_tag: str, hi_tag: str) -> No
         if lower - upper > 1e-9 * max(1.0, abs(upper)):
             raise ParameterError(f"bound inconsistency: lower {lower} > upper {upper}")
         lower = upper
-    return NormInterval(lower, upper, lo_tag, hi_tag, exact=(upper - lower) <= EXACTNESS_ATOL)
+    return NormInterval(lower, upper, lo_tag, hi_tag, exact=_is_exact(lower, upper))
 
 
 @dataclass(frozen=True)
@@ -105,34 +116,17 @@ def _check_budgets(restarts: int, max_iter: int, seed: int) -> None:
         raise ParameterError(f"seed must be >= 0, got {seed}")
 
 
-def _truncate_raw(u: np.ndarray, m: int, n: int, k: int) -> tuple[np.ndarray, float]:
-    """Top-k Schmidt truncation of a raw vector, normalized.
-
-    Returns (unit vector, gain) where gain is the l2 norm of the k leading
-    Schmidt coefficients of u, i.e. the largest overlap of u with any
-    Schmidt-rank-<=k unit vector; the returned vector attains it.
-    """
-    uu, s, vh = svd(u.reshape(m, n))
-    kk = min(k, s.size)
-    gain = float(np.linalg.norm(s[:kk]))
-    if gain <= 0.0:
-        return u.reshape(-1), 0.0
-    vec = ((uu[:, :kk] * (s[:kk] / gain)) @ vh[:kk, :]).reshape(-1)
-    return vec, gain
+def _basis_product_vec(m: int, n: int) -> np.ndarray:
+    vec = np.zeros(m * n, dtype=np.complex128)
+    vec[0] = 1.0
+    return vec
 
 
 def _random_sr_vec(rng: np.random.Generator, m: int, n: int, k: int) -> np.ndarray:
     g = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
     vec, gain = _truncate_raw(g.reshape(-1), m, n, k)
     if gain <= 0.0:  # vanishing Gaussian draw; practically unreachable
-        vec = np.zeros(m * n, dtype=np.complex128)
-        vec[0] = 1.0
-    return vec
-
-
-def _basis_product_vec(m: int, n: int) -> np.ndarray:
-    vec = np.zeros(m * n, dtype=np.complex128)
-    vec[0] = 1.0
+        return _basis_product_vec(m, n)
     return vec
 
 
@@ -161,8 +155,7 @@ def seesaw_lower(
         v0 = pure_state(_basis_product_vec(m, n), m, n)
         return SeeSawResult(v0, v0, 0.0, 0, True, seed, ())
 
-    best: tuple[float, int] | None = None
-    best_state: tuple[np.ndarray, np.ndarray, int, bool, tuple[float, ...]] | None = None
+    best: tuple[float, np.ndarray, np.ndarray, int, bool, tuple[float, ...]] | None = None
     for ridx in range(restarts):
         rng = np.random.default_rng([seed, ridx])
         w = _random_sr_vec(rng, m, n, k)
@@ -192,60 +185,14 @@ def seesaw_lower(
             prev = gain2
         value = float(abs(np.vdot(v, mat @ w)))
         if best is None or value > best[0]:
-            best = (value, ridx)
-            best_state = (v, w, iterations, converged, tuple(trace))
+            best = (value, v, w, iterations, converged, tuple(trace))
 
-    assert best is not None and best_state is not None
-    v, w, iterations, converged, trace = best_state
+    value, v, w, iterations, converged, trace = best
     return SeeSawResult(
-        v=pure_state(v, m, n, require_normalized=False),
-        w=pure_state(w, m, n, require_normalized=False),
-        value=best[0],
-        iterations=iterations,
-        converged=converged,
-        seed=seed,
-        objective_trace=trace,
+        pure_state(v, m, n, require_normalized=False),
+        pure_state(w, m, n, require_normalized=False),
+        value, iterations, converged, seed, trace,
     )
-
-
-def _seesaw_symmetric(
-    mat: np.ndarray,
-    m: int,
-    n: int,
-    k: int,
-    restarts: int,
-    max_iter: int,
-    tol: float,
-    seed: int,
-    stream: int,
-) -> tuple[float, np.ndarray]:
-    """Alternating maximization of <v|Z|v> over SR<=k for PSD Z.
-
-    Iterates v <- trunc_k(Zv); for positive semidefinite Z the Rayleigh
-    objective is nondecreasing under this update.  Returns the best
-    (objective, v).
-    """
-    best_obj = -np.inf
-    best_v = _basis_product_vec(m, n)
-    for ridx in range(restarts):
-        rng = np.random.default_rng([seed, stream, ridx])
-        v = _random_sr_vec(rng, m, n, k)
-        prev = float(np.real(np.vdot(v, mat @ v)))
-        for _ in range(max_iter):
-            u = mat @ v
-            v_new, gain = _truncate_raw(u, m, n, k)
-            if gain <= 0.0:
-                break
-            v = v_new
-            obj = float(np.real(np.vdot(v, mat @ v)))
-            if obj - prev <= tol * max(1.0, abs(obj)):
-                prev = obj
-                break
-            prev = obj
-        if prev > best_obj:
-            best_obj = prev
-            best_v = v
-    return best_obj, best_v
 
 
 def sk_pure(v: PureState, k: int) -> float:
@@ -273,15 +220,13 @@ def _sk_bounds_full(
     max_iter: int,
     tol: float,
     seed: int,
-    *,
-    lazy_lower: bool = False,
-    skip_if_c_at_least: float | None = None,
+    skip_seesaw_at: float | None = None,
 ) -> tuple[NormInterval, SeeSawResult | None]:
     """Bounds on |x|_S(k) plus the pair achieving the lower bound.
 
-    With lazy_lower the see-saw is skipped when the cheap upper bound alone
-    already decides the caller's question (upper <= skip_if_c_at_least);
-    the reported lower endpoint is then the trivial 0.
+    The see-saw is skipped when the operator-norm upper bound is at or
+    below skip_seesaw_at, where the caller's question is already decided;
+    the reported lower endpoint is then the trivial 0 and the pair None.
     """
     m, n = x.dims
     _check_k(m, n, k)
@@ -293,31 +238,26 @@ def _sk_bounds_full(
         pair = SeeSawResult(v0, v0, 0.0, 0, True, seed, ())
         return _exact_interval(0.0, "zero_operator"), pair
 
+    closed = None
     if k == min(m, n):
         # At maximal k the restriction is vacuous and the norm is the
         # operator norm; the optimal pair is the leading singular pair.
-        v_vec = u[:, 0]
-        w_vec = vh[0, :].conj()
-        pair = SeeSawResult(
-            pure_state(v_vec, m, n, require_normalized=False),
-            pure_state(w_vec, m, n, require_normalized=False),
-            float(s[0]), 0, True, seed, (float(s[0]),),
-        )
-        return _exact_interval(float(s[0]), "operator_norm_exact"), pair
-
-    if s.size == 1 or s[1] <= RANK_ONE_RTOL * s[0]:
+        closed = (u[:, 0], vh[0, :].conj(), float(s[0]), "operator_norm_exact")
+    elif s.size == 1 or s[1] <= RANK_ONE_RTOL * s[0]:
         v_vec, gv = _truncate_raw(u[:, 0], m, n, k)
         w_vec, gw = _truncate_raw(vh[0, :].conj(), m, n, k)
-        value = float(s[0] * gv * gw)
+        closed = (v_vec, w_vec, float(s[0] * gv * gw), "rank_one_exact")
+    if closed is not None:
+        v_vec, w_vec, value, tag = closed
         pair = SeeSawResult(
             pure_state(v_vec, m, n, require_normalized=False),
             pure_state(w_vec, m, n, require_normalized=False),
             value, 0, True, seed, (value,),
         )
-        return _exact_interval(value, "rank_one_exact"), pair
+        return _exact_interval(value, tag), pair
 
     upper = float(s[0])
-    if lazy_lower and skip_if_c_at_least is not None and upper <= skip_if_c_at_least:
+    if skip_seesaw_at is not None and upper <= skip_seesaw_at:
         return NormInterval(0.0, upper, "trivial", "operator_norm", False), None
 
     ss = seesaw_lower(x, k, restarts=restarts, max_iter=max_iter, tol=tol, seed=seed)
@@ -341,6 +281,32 @@ def sk_bounds(
     return _sk_bounds_full(x, k, restarts, max_iter, tol, seed)[0]
 
 
+def _shifted_sk(
+    y: BipartiteOperator,
+    lam: np.ndarray,
+    sign: float,
+    k: int,
+    restarts: int,
+    max_iter: int,
+    tol: float,
+    seed: int,
+    margin: float,
+) -> tuple[float, NormInterval, SeeSawResult | None]:
+    """c = lambda_max(z) for z = sign * y, and the S(k) bracket of the PSD
+    operator cI - z with the pair attaining its lower endpoint.
+
+    lam holds the eigenvalues of y, descending.  The see-saw is skipped
+    when the operator-norm upper bound is at most c + margin.
+    """
+    m, n = y.dims
+    c = float(lam[0]) if sign > 0 else -float(lam[-1])
+    x_mat = c * np.eye(m * n, dtype=np.complex128) - sign * y.mat
+    x_mat = (x_mat + x_mat.conj().T) / 2.0
+    x = BipartiteOperator(x_mat, m, n, hermitian=True)
+    interval, pair = _sk_bounds_full(x, k, restarts, max_iter, tol, seed, c + margin)
+    return c, interval, pair
+
+
 def prod_radius_bounds(
     y: BipartiteOperator,
     k: int,
@@ -352,33 +318,29 @@ def prod_radius_bounds(
     """Certified bracket for the Schmidt-restricted numerical radius of a
     hermitian operator.
 
-    For PSD inputs the radius coincides with |y|_S(k) and the S(k) machinery
-    is reused.  Otherwise, for each sign the shifted operator
-    +/-y + |y| I is PSD and a symmetric see-saw on it yields a feasible
-    vector; the best |<v|y|v>| found is the lower bound, the operator norm
-    the upper bound.
+    With c_s = lambda_max(sigma y) and [L_s, U_s] the S(k) bracket of the
+    PSD operator c_s I - sigma y, the radius lies in
+    [max_s (L_s - c_s), max_s (U_s - c_s)], capped at |y|; the product
+    basis adds max_i |y_ii| to the lower candidates.  The closed
+    forms of sk_bounds apply per sign, so the bracket is exact whenever
+    the winning sign's shifted operator is rank one or k = min(dims).  The
+    sign with the larger reach lambda_max(-sigma y) goes first, and a sign
+    runs its see-saw only when its upper bound could beat the best lower
+    bound so far.
     """
     if not y.hermitian:
         raise PreconditionError("prod_radius_bounds requires a hermitian operator")
-    m, n = y.dims
-    _check_k(m, n, k)
-    _check_budgets(restarts, max_iter, seed)
-
     lam, _ = eig_hermitian(y.mat)
     opn = float(max(abs(lam[0]), abs(lam[-1])))
-    if opn == 0.0:
-        return _exact_interval(0.0, "zero_operator")
-    if lam[-1] >= -PSD_RTOL * max(1.0, opn):
-        return sk_bounds(y, k, restarts=restarts, max_iter=max_iter, tol=tol, seed=seed)
-
-    eye = np.eye(m * n, dtype=np.complex128)
-    best = 0.0
-    for stream, sign in enumerate((1.0, -1.0)):
-        shifted = sign * y.mat + opn * eye
-        _, v = _seesaw_symmetric(shifted, m, n, k, restarts, max_iter, tol, seed, stream)
-        cand = float(abs(np.vdot(v, y.mat @ v)))
-        best = max(best, cand)
-    return _finish_interval(best, opn, "shifted_seesaw", "operator_norm")
+    lowers = [(float(np.max(np.abs(np.real(np.diag(y.mat))))), "product_basis")]
+    uppers: list[tuple[float, str]] = []
+    for sign in ((-1.0, 1.0) if lam[0] >= -lam[-1] else (1.0, -1.0)):
+        c, iv, _ = _shifted_sk(y, lam, sign, k, restarts, max_iter, tol, seed, max(lowers)[0])
+        lowers.append((iv.lower - c, iv.lower_method))
+        uppers.append((iv.upper - c, iv.upper_method))
+    lower, lo_tag = max(lowers)
+    upper, hi_tag = max(uppers)
+    return _finish_interval(lower, min(upper, opn), lo_tag, hi_tag)
 
 
 @dataclass(frozen=True)
@@ -407,32 +369,19 @@ def block_positivity_check(
 ) -> BlockPositivityResult:
     """Decide whether <v|y|v> >= 0 for all Schmidt-rank-<=k vectors v.
 
-    Writes y = cI - X with c the top eigenvalue of y, so X is PSD; y is
-    k-block positive exactly when c >= |X|_S(k).  The verdict is
-    certified_positive when c clears the upper bound, certified_negative
-    when c falls below the lower bound, else undecided.  Comparisons use a
-    relative band of tol so exact-boundary cases decide deterministically.
-    The see-saw lower bound is only computed when the cheap upper bound
-    does not already settle the question.
+    y is k-block positive exactly when c >= |cI - y|_S(k), with c its top
+    eigenvalue.  The verdict is certified_positive when c clears the upper
+    bound, certified_negative when c falls below the lower bound, else
+    undecided.  Comparisons use a relative band of tol so exact-boundary
+    cases decide deterministically.  The see-saw lower bound is only
+    computed when the cheap upper bound does not already settle the
+    question.
     """
     if not y.hermitian:
         raise PreconditionError("block_positivity_check requires a hermitian operator")
-    m, n = y.dims
-    _check_k(m, n, k)
-
     lam, _ = eig_hermitian(y.mat)
-    c = float(lam[0])
-    x_mat = c * np.eye(m * n, dtype=np.complex128) - y.mat
-    x_mat = (x_mat + x_mat.conj().T) / 2.0
-    x = BipartiteOperator(x_mat, m, n, hermitian=True)
-
-    scale = max(1.0, abs(c), float(lam[0] - lam[-1]))
-    band = tol * scale
-
-    interval, pair = _sk_bounds_full(
-        x, k, restarts, max_iter, seesaw_tol, seed,
-        lazy_lower=True, skip_if_c_at_least=c + band,
-    )
+    band = tol * max(1.0, abs(float(lam[0])), float(lam[0] - lam[-1]))
+    c, interval, pair = _shifted_sk(y, lam, 1.0, k, restarts, max_iter, seesaw_tol, seed, band)
     if c >= interval.upper - band:
         return BlockPositivityResult("certified_positive", c, interval, None)
     if c < interval.lower - band:
@@ -449,58 +398,12 @@ def prod_radius_bisect(
     max_iter: int = 500,
     seed: int = 0,
 ) -> NormInterval:
-    """Bracket the restricted numerical radius by bisection.
+    """Bracket the restricted numerical radius: prod_radius_bounds with the
+    given restarts, max_iter and seed.
 
-    The radius of hermitian x is the least shift s making both sI + x and
-    sI - x k-block positive, and that property is monotone in s.  Starting
-    from [0, |x|], each step queries block positivity at the midpoint; an
-    undecided check stops early, leaving a wider but still certified
-    bracket.  Endpoints inherit the certification band of the underlying
-    checks (tol, relative), since boundary shifts decide positively inside
-    that band.  restarts defaults lower than elsewhere because each level
-    runs up to two see-saws.
+    The radius is the least shift s making both sI + x and sI - x k-block
+    positive, and the shifted-S(k) bracket answers that for every s at
+    once.  depth and tol are accepted for compatibility and do not affect
+    the result.
     """
-    if not x.hermitian:
-        raise PreconditionError("prod_radius_bisect requires a hermitian operator")
-    m, n = x.dims
-    _check_k(m, n, k)
-    if depth < 1:
-        raise ParameterError(f"depth must be >= 1, got {depth}")
-
-    lam, _ = eig_hermitian(x.mat)
-    opn = float(max(abs(lam[0]), abs(lam[-1])))
-    if opn == 0.0:
-        return _exact_interval(0.0, "zero_operator")
-
-    eye = np.eye(m * n, dtype=np.complex128)
-
-    def classify(s: float) -> str:
-        for sign in (1.0, -1.0):
-            shifted = bipartite(s * eye + sign * x.mat, m, n, symmetrize=True)
-            res = block_positivity_check(
-                shifted, k, tol=tol, restarts=restarts,
-                max_iter=max_iter, seed=seed,
-            )
-            if res.verdict == "certified_negative":
-                return "negative"
-            if res.verdict == "undecided":
-                return "undecided"
-        return "positive"
-
-    lo, hi = 0.0, opn
-    # The radius never exceeds the operator norm, but verify the top of the
-    # bracket decides; one nudge absorbs boundary fp noise.
-    if classify(hi) != "positive":
-        hi = opn * (1.0 + 1e-9)
-        if classify(hi) != "positive":
-            return NormInterval(lo, hi, "bisection", "bisection", False)
-    for _ in range(depth):
-        mid = 0.5 * (lo + hi)
-        verdict = classify(mid)
-        if verdict == "positive":
-            hi = mid
-        elif verdict == "negative":
-            lo = mid
-        else:
-            break
-    return NormInterval(lo, hi, "bisection", "bisection", exact=(hi - lo) <= EXACTNESS_ATOL)
+    return prod_radius_bounds(x, k, restarts=restarts, max_iter=max_iter, seed=seed)

@@ -277,3 +277,13 @@ def test_text_format(tmp_path, capsys):
     assert code == 0
     assert out.startswith("command: detect")
     assert "  detected: True" in out
+
+
+def test_overflow_exits_two(tmp_path, capsys):
+    rho = generate(EnsembleSpec("ginibre_density", 3, 3, seed=0))
+    path = str(tmp_path / "huge.json")
+    save_operator(path, bipartite(rho.mat * 1e200, 3, 3))
+    assert run(["norm", "--which", "gamma", "--k", "1", path]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "Traceback" not in err

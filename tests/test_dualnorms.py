@@ -19,7 +19,7 @@ from entnorms.dualnorms import (
 from entnorms.errors import ParameterError, PreconditionError
 from entnorms.linalg import bipartite
 from entnorms.schmidt import pure_state, s_k_dual, schmidt_decompose
-from entnorms.sknorm import sk_elementary, sk_pure
+from entnorms.sknorm import NormInterval, sk_elementary, sk_pure
 from entnorms.states import EnsembleSpec, generate, sn_bounded_ensemble
 
 SQ7 = np.sqrt(0.7)
@@ -340,3 +340,9 @@ def test_sn_certify_validation():
     sep = generate(EnsembleSpec("sn_bounded_density", 3, 3, k=1, terms=6, seed=2))
     with pytest.raises(ParameterError):
         sn_certify(sep, 1, candidate=dec, restarts=8)
+
+
+def test_entanglement_rescale_keeps_exact_only_for_equal_endpoints():
+    r = NormInterval(1.0, 1.0 + 1e-10, "lo", "hi", True)
+    assert not robustness_to_entanglement(r).exact
+    assert robustness_to_entanglement(NormInterval(3.0, 3.0, "lo", "hi", True)).exact

@@ -14,6 +14,7 @@ from entnorms.sknorm import (
     sk_elementary,
     sk_pure,
 )
+from entnorms.states import EnsembleSpec, generate
 
 SQ7 = np.sqrt(0.7)
 SQ3 = np.sqrt(0.3)
@@ -247,3 +248,16 @@ def test_budget_validation():
         seesaw_lower(x, 1, seed=-1)
     with pytest.raises(ParameterError):
         sk_bounds(x, 5)
+
+
+def test_exact_is_relative_to_the_value():
+    """A bracket far below 1e-9 in absolute terms is not exact when its
+    endpoints differ by a third of the value."""
+    rho = generate(EnsembleSpec("ginibre_density", 3, 3, seed=1))
+    iv = sk_bounds(bipartite(rho.mat * 1e-12, 3, 3), 1)
+    assert iv.upper < 1e-12
+    assert iv.upper - iv.lower > 0.1 * iv.upper
+    assert not iv.exact
+    with pytest.raises(ParameterError):
+        NormInterval(2.7e-13, 3.96e-13, "a", "b", True)
+    assert NormInterval(1e9, 1e9 + 0.5, "a", "b", True).exact
