@@ -25,6 +25,7 @@ import numpy as np
 from . import kyfan
 from .dualnorms import _require_density, gamma_bounds
 from .errors import EntnormsError, NumericalError, ParameterError, PreconditionError
+from .kyfan import _check_k
 from .linalg import (
     BipartiteOperator,
     bipartite,
@@ -35,7 +36,6 @@ from .linalg import (
     svd,
 )
 from .schmidt import PureState
-from .sknorm import _check_k
 
 DETECTION_TOL = 1e-9
 FILTER_TOL = 1e-9
@@ -206,16 +206,16 @@ def _support_spectrum(marginal: np.ndarray) -> tuple[np.ndarray, np.ndarray, int
     return lam, vecs, rank
 
 
-def _flatness(marginal: np.ndarray) -> float:
+def _flatness(spectrum: tuple[np.ndarray, np.ndarray, int]) -> float:
     """Frobenius distance from the maximally mixed state on the support."""
-    lam, _, rank = _support_spectrum(marginal)
+    lam, _, rank = spectrum
     target = np.zeros_like(lam)
     target[:rank] = 1.0 / rank
     return float(np.linalg.norm(lam - target))
 
 
-def _pinv_sqrt(marginal: np.ndarray) -> np.ndarray:
-    lam, vecs, rank = _support_spectrum(marginal)
+def _pinv_sqrt(spectrum: tuple[np.ndarray, np.ndarray, int]) -> np.ndarray:
+    lam, vecs, rank = spectrum
     inv = np.zeros_like(lam)
     inv[:rank] = 1.0 / np.sqrt(lam[:rank])
     return (vecs * inv) @ vecs.conj().T
@@ -247,21 +247,20 @@ def local_filter(
 
     for iterations in range(max_iter + 1):
         bp = bipartite(work, m, n, symmetrize=True)
-        marg_a = partial_trace(bp, "B")
-        marg_b = partial_trace(bp, "A")
-        if _flatness(marg_a) <= tol and _flatness(marg_b) <= tol:
+        spec_a = _support_spectrum(partial_trace(bp, "B"))
+        if _flatness(spec_a) <= tol and _flatness(_support_spectrum(partial_trace(bp, "A"))) <= tol:
             return FilterResult(bp, f_a, f_b, True, iterations)
         if iterations == max_iter:
             return FilterResult(bp, f_a, f_b, False, iterations)
 
-        step_a = _pinv_sqrt(marg_a)
+        step_a = _pinv_sqrt(spec_a)
         lift = kron(step_a, eye_n)
         work = lift @ work @ lift.conj().T
         work = _renormalize(work)
         f_a = step_a @ f_a
 
         marg_b = partial_trace(bipartite(work, m, n, symmetrize=True), "A")
-        step_b = _pinv_sqrt(marg_b)
+        step_b = _pinv_sqrt(_support_spectrum(marg_b))
         lift = kron(eye_m, step_b)
         work = lift @ work @ lift.conj().T
         work = _renormalize(work)

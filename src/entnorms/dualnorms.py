@@ -33,12 +33,12 @@ from scipy.optimize import linprog
 
 from . import kyfan
 from .errors import InfeasibleError, ParameterError, PreconditionError
+from .kyfan import _check_k
 from .linalg import BipartiteOperator, bipartite, eig_hermitian, realign, svd
 from .schmidt import PureState, pure_state, schmidt_decompose
 from .sknorm import (
     NormInterval,
     _check_budgets,
-    _check_k,
     _exact_interval,
     _finish_interval,
     _random_sr_vec,
@@ -237,7 +237,6 @@ def gamma_pure(v: PureState, k: int) -> float:
     """gamma_k of the projector |v><v|: the squared dual Schmidt value
     s_k_dual(v)^2.  At k=1 this is (sum of Schmidt coefficients)^2; it is 1
     exactly when SR(v) <= k."""
-    _check_k(v.dim_a, v.dim_b, k)
     return float(kyfan.k2_dual(v.matrix(), k) ** 2)
 
 
@@ -245,12 +244,19 @@ def gamma_rank_one(v: PureState, w: PureState, k: int) -> float:
     """gamma_k of |v><w|: the product s_k_dual(v) * s_k_dual(w)."""
     if v.dims != w.dims:
         raise ParameterError(f"mismatched dims {v.dims} vs {w.dims}")
-    _check_k(v.dim_a, v.dim_b, k)
     return float(kyfan.k2_dual(v.matrix(), k) * kyfan.k2_dual(w.matrix(), k))
 
 
 def _vec_dual(col: np.ndarray, m: int, n: int, k: int) -> float:
     return float(kyfan.k2_dual(col.reshape(m, n), k))
+
+
+def _sign_unitary_witness(
+    u: np.ndarray, s: np.ndarray, vh: np.ndarray, m: int, n: int, k: int
+) -> Witness:
+    """u vh from x = u diag(s) vh: operator norm 1, so S(k) norm at most 1,
+    and its pairing with x is the trace norm."""
+    return Witness(bipartite(u @ vh, m, n), 1.0, float(np.sum(s)), k, "sign_unitary")
 
 
 def best_gamma_witness(
@@ -265,8 +271,8 @@ def best_gamma_witness(
 
     Candidates: the best see-saw ket-bra (its S(k) norm is 1 by
     construction), the sign unitary of x's SVD (operator norm 1, pairing
-    the trace norm), x itself normalized by its operator norm, and for
-    hermitian x each eigenprojector normalized by its exact S(k) value.
+    the trace norm), and for hermitian x each eigenprojector normalized by
+    its exact S(k) value.
     """
     m, n = x.dims
     _check_k(m, n, k)
@@ -275,34 +281,12 @@ def best_gamma_witness(
     if s[0] <= 0.0:
         raise ParameterError("the zero operator admits no witness")
 
-    candidates: list[Witness] = []
-
     ss = seesaw_lower(x, k, restarts=restarts, max_iter=max_iter, tol=tol, seed=seed)
     ketbra = np.outer(ss.v.amplitudes, ss.w.amplitudes.conj())
-    candidates.append(
-        Witness(bipartite(ketbra, m, n), 1.0, ss.value, k, "seesaw_ketbra")
-    )
-
-    sign_unitary = u @ vh
-    candidates.append(
-        Witness(
-            bipartite(sign_unitary, m, n),
-            1.0,
-            float(np.sum(s)),
-            k,
-            "sign_unitary",
-        )
-    )
-
-    candidates.append(
-        Witness(
-            bipartite(x.mat.copy(), m, n),
-            float(s[0]),
-            float(np.linalg.norm(s) ** 2),
-            k,
-            "self_pairing",
-        )
-    )
+    candidates = [
+        Witness(bipartite(ketbra, m, n), 1.0, ss.value, k, "seesaw_ketbra"),
+        _sign_unitary_witness(u, s, vh, m, n, k),
+    ]
 
     if x.hermitian:
         lam, vecs = eig_hermitian(x.mat)
@@ -341,7 +325,9 @@ def gamma_bounds(
     k = min(dims) (the trace norm).  Otherwise the lower endpoint is the
     best of trace norm, realigned dual value, and duality witnesses; the
     upper endpoint the best explicit decomposition, including the sampled
-    LP oracle when a budget is passed.
+    LP oracle when a budget is passed.  The certificate is the best
+    Witness (bound at most lower): the dual-attaining ket-bra on rank-one
+    inputs, the sign unitary at k = min(dims).
     """
     m, n = x.dims
     _check_k(m, n, k)
@@ -351,10 +337,15 @@ def gamma_bounds(
         return _exact_interval(0.0, "zero_operator")
     trace_norm = float(np.sum(s))
     if k == min(m, n):
-        return _exact_interval(trace_norm, "trace_norm_exact")
+        wit = _sign_unitary_witness(u, s, vh, m, n, k)
+        return _exact_interval(trace_norm, "trace_norm_exact", wit)
     if s.size == 1 or s[1] <= SPECTRAL_CUTOFF_RTOL * s[0]:
-        value = float(s[0]) * _vec_dual(u[:, 0], m, n, k) * _vec_dual(vh[0, :].conj(), m, n, k)
-        return _exact_interval(value, "rank_one_exact")
+        a, dual_u = kyfan.k2_dual_attainer(u[:, 0].reshape(m, n), k)
+        b, dual_w = kyfan.k2_dual_attainer(vh[0, :].conj().reshape(m, n), k)
+        ketbra = np.outer(a.reshape(-1), b.reshape(-1).conj())
+        pairing = float(abs(np.vdot(ketbra, x.mat)))
+        wit = Witness(bipartite(ketbra, m, n), 1.0, pairing, k, "dual_ketbra")
+        return _exact_interval(float(s[0]) * dual_u * dual_w, "rank_one_exact", wit)
 
     lowers = [
         ("trace_norm", trace_norm),
@@ -376,7 +367,7 @@ def gamma_bounds(
 
     lo_tag, lo = max(lowers, key=lambda t: t[1])
     hi_tag, hi = min(uppers, key=lambda t: t[1])
-    return _finish_interval(lo, hi, lo_tag, hi_tag)
+    return _finish_interval(lo, hi, lo_tag, hi_tag, wit)
 
 
 def decomposition_oracle(
@@ -636,11 +627,7 @@ def sn_certify(
 
     gb = gamma_bounds(rho, k, restarts=restarts, max_iter=max_iter, seed=seed)
     if gb.lower > 1.0 + tol:
-        wit = best_gamma_witness(
-            rho, k, restarts=restarts, max_iter=max_iter, seed=seed
-        )
-        if wit.bound <= 1.0 + tol:
-            wit = None
+        wit = gb.certificate if gb.certificate.bound > 1.0 + tol else None
         return SnCertification("exceeds_k", k, gb, wit, None)
 
     def check(dec: Decomposition) -> float | None:

@@ -95,21 +95,40 @@ def k2_dual_from_singular_values(sigma, k: int) -> float:
     return math.sqrt(head + (k - bi.r) * bi.sigma_tilde**2)
 
 
-def _checked_singular_values(mat, k: int) -> np.ndarray:
-    arr = _as_complex_matrix(mat)
-    kmax = min(arr.shape)
+def _check_k(dim_a: int, dim_b: int, k: int) -> None:
+    """The Schmidt-rank parameter of an m x n split: an integer in [1, min(m, n)]."""
+    kmax = min(dim_a, dim_b)
     if not isinstance(k, (int, np.integer)) or not 1 <= k <= kmax:
         raise ParameterError(f"k must satisfy 1 <= k <= {kmax}, got {k!r}")
-    return svd(arr)[1]
+
+
+def _checked_svd(mat, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    arr = _as_complex_matrix(mat)
+    _check_k(*arr.shape, k)
+    return svd(arr)
 
 
 def k2_norm(mat, k: int) -> float:
     """l2 norm of the k largest singular values."""
-    s = _checked_singular_values(mat, k)
+    s = _checked_svd(mat, k)[1]
     return float(np.sqrt(np.sum(s[:k] ** 2)))
 
 
 def k2_dual(mat, k: int) -> float:
     """Dual of the (k,2) norm, via the break-index closed form."""
-    s = _checked_singular_values(mat, k)
+    s = _checked_svd(mat, k)[1]
     return k2_dual_from_singular_values(s, k)
+
+
+def k2_dual_attainer(mat, k: int) -> tuple[np.ndarray, float]:
+    """A unit-(k,2)-norm Y with Re tr(Y^dag mat) = k2_dual(mat, k), and that
+    value: mat's singular frames with the profile past the break index
+    flattened to sigma_tilde, divided by the dual value."""
+    u, s, vh = _checked_svd(mat, k)
+    value = k2_dual_from_singular_values(s, k)
+    if value <= 0.0:
+        raise DegenerateInputError("the zero matrix has no attaining dual matrix")
+    bi = break_index(s, k)
+    beta = s.copy()
+    beta[bi.r :] = bi.sigma_tilde
+    return (u * (beta / value)) @ vh, value

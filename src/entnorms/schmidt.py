@@ -137,7 +137,7 @@ def schmidt_truncate(v: PureState, k: int) -> PureState:
     The overlap |<result|v>| equals s_k_norm(v, k) for unit v; when the
     Schmidt rank of v is already <= k the result is v itself up to fp error.
     """
-    _check_k(v, k)
+    kyfan._check_k(v.dim_a, v.dim_b, k)
     if np.linalg.norm(v.amplitudes) <= 1e-12:
         raise DegenerateInputError("cannot truncate a (numerically) zero vector")
     vec, gain = _truncate_raw(v.amplitudes, v.dim_a, v.dim_b, k)
@@ -163,19 +163,12 @@ def _truncate_raw(u: np.ndarray, m: int, n: int, k: int) -> tuple[np.ndarray, fl
     return vec, gain
 
 
-def _check_k(v: PureState, k: int) -> None:
-    kmax = min(v.dim_a, v.dim_b)
-    if not isinstance(k, (int, np.integer)) or not 1 <= k <= kmax:
-        raise ParameterError(f"k must satisfy 1 <= k <= {kmax}, got {k!r}")
-
-
 def s_k_norm(v: PureState, k: int) -> float:
     """Largest overlap with Schmidt-rank-<=k unit vectors; homogeneous in v.
 
     Equals the l2 norm of the k leading Schmidt coefficients, and the plain
     Euclidean norm at k = min(dims).
     """
-    _check_k(v, k)
     return kyfan.k2_norm(v.matrix(), k)
 
 
@@ -185,5 +178,4 @@ def s_k_dual(v: PureState, k: int) -> float:
     At k = 1 this is the sum of the Schmidt coefficients, at k = min(dims)
     the Euclidean norm.
     """
-    _check_k(v, k)
     return kyfan.k2_dual(v.matrix(), k)

@@ -26,11 +26,12 @@ therefore a bracket on either quantity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParameterError, PreconditionError
+from .kyfan import _check_k
 from .linalg import BipartiteOperator, eig_hermitian, svd
 from .schmidt import PureState, _truncate_raw, pure_state
 
@@ -49,6 +50,8 @@ class NormInterval:
     The method tags record which bound produced each endpoint.  exact is set
     when the two endpoints agree to within 1e-9 relative to the value (in
     particular on closed-form paths, where both are the same number).
+    certificate is the lower-side evidence, if any: the SeeSawResult pair
+    for S(k) brackets, the best Witness for gamma brackets.
     """
 
     lower: float
@@ -56,6 +59,7 @@ class NormInterval:
     lower_method: str
     upper_method: str
     exact: bool
+    certificate: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not (np.isfinite(self.lower) and np.isfinite(self.upper)):
@@ -70,18 +74,20 @@ class NormInterval:
         return self.upper - self.lower
 
 
-def _exact_interval(value: float, method: str) -> NormInterval:
-    return NormInterval(value, value, method, method, True)
+def _exact_interval(value: float, method: str, certificate=None) -> NormInterval:
+    return NormInterval(value, value, method, method, True, certificate)
 
 
-def _finish_interval(lower: float, upper: float, lo_tag: str, hi_tag: str) -> NormInterval:
+def _finish_interval(
+    lower: float, upper: float, lo_tag: str, hi_tag: str, certificate=None
+) -> NormInterval:
     # A sound lower bound can poke above a sound upper bound only by fp
     # noise; clamp that, but treat anything larger as a real bug.
     if lower > upper:
         if lower - upper > 1e-9 * max(1.0, abs(upper)):
             raise ParameterError(f"bound inconsistency: lower {lower} > upper {upper}")
         lower = upper
-    return NormInterval(lower, upper, lo_tag, hi_tag, exact=_is_exact(lower, upper))
+    return NormInterval(lower, upper, lo_tag, hi_tag, _is_exact(lower, upper), certificate)
 
 
 @dataclass(frozen=True)
@@ -99,12 +105,6 @@ class SeeSawResult:
     converged: bool
     seed: int
     objective_trace: tuple[float, ...]
-
-
-def _check_k(dim_a: int, dim_b: int, k: int) -> None:
-    kmax = min(dim_a, dim_b)
-    if not isinstance(k, (int, np.integer)) or not 1 <= k <= kmax:
-        raise ParameterError(f"k must satisfy 1 <= k <= {kmax}, got {k!r}")
 
 
 def _check_budgets(restarts: int, max_iter: int, seed: int) -> None:
@@ -221,12 +221,12 @@ def _sk_bounds_full(
     tol: float,
     seed: int,
     skip_seesaw_at: float | None = None,
-) -> tuple[NormInterval, SeeSawResult | None]:
-    """Bounds on |x|_S(k) plus the pair achieving the lower bound.
+) -> NormInterval:
+    """Bounds on |x|_S(k), certified by the pair achieving the lower bound.
 
     The see-saw is skipped when the operator-norm upper bound is at or
     below skip_seesaw_at, where the caller's question is already decided;
-    the reported lower endpoint is then the trivial 0 and the pair None.
+    the reported lower endpoint is then the trivial 0 with no certificate.
     """
     m, n = x.dims
     _check_k(m, n, k)
@@ -236,7 +236,7 @@ def _sk_bounds_full(
     if s[0] <= 0.0:
         v0 = pure_state(_basis_product_vec(m, n), m, n)
         pair = SeeSawResult(v0, v0, 0.0, 0, True, seed, ())
-        return _exact_interval(0.0, "zero_operator"), pair
+        return _exact_interval(0.0, "zero_operator", pair)
 
     closed = None
     if k == min(m, n):
@@ -254,14 +254,14 @@ def _sk_bounds_full(
             pure_state(w_vec, m, n, require_normalized=False),
             value, 0, True, seed, (value,),
         )
-        return _exact_interval(value, tag), pair
+        return _exact_interval(value, tag, pair)
 
     upper = float(s[0])
     if skip_seesaw_at is not None and upper <= skip_seesaw_at:
-        return NormInterval(0.0, upper, "trivial", "operator_norm", False), None
+        return NormInterval(0.0, upper, "trivial", "operator_norm", False)
 
     ss = seesaw_lower(x, k, restarts=restarts, max_iter=max_iter, tol=tol, seed=seed)
-    return _finish_interval(ss.value, upper, "seesaw", "operator_norm"), ss
+    return _finish_interval(ss.value, upper, "seesaw", "operator_norm", ss)
 
 
 def sk_bounds(
@@ -276,9 +276,10 @@ def sk_bounds(
 
     Exact on rank-one inputs (value s_1 * s_k_norm(u_1) * s_k_norm(w_1)) and
     at k = min(dims) (operator norm); otherwise the see-saw lower bound
-    against the operator-norm upper bound.
+    against the operator-norm upper bound.  The certificate is the
+    Schmidt-rank-<=k pair whose pairing |<v|x|w>| is the lower endpoint.
     """
-    return _sk_bounds_full(x, k, restarts, max_iter, tol, seed)[0]
+    return _sk_bounds_full(x, k, restarts, max_iter, tol, seed)
 
 
 def _shifted_sk(
@@ -291,9 +292,9 @@ def _shifted_sk(
     tol: float,
     seed: int,
     margin: float,
-) -> tuple[float, NormInterval, SeeSawResult | None]:
+) -> tuple[float, NormInterval]:
     """c = lambda_max(z) for z = sign * y, and the S(k) bracket of the PSD
-    operator cI - z with the pair attaining its lower endpoint.
+    operator cI - z, certified by the pair attaining its lower endpoint.
 
     lam holds the eigenvalues of y, descending.  The see-saw is skipped
     when the operator-norm upper bound is at most c + margin.
@@ -303,8 +304,7 @@ def _shifted_sk(
     x_mat = c * np.eye(m * n, dtype=np.complex128) - sign * y.mat
     x_mat = (x_mat + x_mat.conj().T) / 2.0
     x = BipartiteOperator(x_mat, m, n, hermitian=True)
-    interval, pair = _sk_bounds_full(x, k, restarts, max_iter, tol, seed, c + margin)
-    return c, interval, pair
+    return c, _sk_bounds_full(x, k, restarts, max_iter, tol, seed, c + margin)
 
 
 def prod_radius_bounds(
@@ -335,7 +335,7 @@ def prod_radius_bounds(
     lowers = [(float(np.max(np.abs(np.real(np.diag(y.mat))))), "product_basis")]
     uppers: list[tuple[float, str]] = []
     for sign in ((-1.0, 1.0) if lam[0] >= -lam[-1] else (1.0, -1.0)):
-        c, iv, _ = _shifted_sk(y, lam, sign, k, restarts, max_iter, tol, seed, max(lowers)[0])
+        c, iv = _shifted_sk(y, lam, sign, k, restarts, max_iter, tol, seed, max(lowers)[0])
         lowers.append((iv.lower - c, iv.lower_method))
         uppers.append((iv.upper - c, iv.upper_method))
     lower, lo_tag = max(lowers)
@@ -381,11 +381,11 @@ def block_positivity_check(
         raise PreconditionError("block_positivity_check requires a hermitian operator")
     lam, _ = eig_hermitian(y.mat)
     band = tol * max(1.0, abs(float(lam[0])), float(lam[0] - lam[-1]))
-    c, interval, pair = _shifted_sk(y, lam, 1.0, k, restarts, max_iter, seesaw_tol, seed, band)
+    c, interval = _shifted_sk(y, lam, 1.0, k, restarts, max_iter, seesaw_tol, seed, band)
     if c >= interval.upper - band:
         return BlockPositivityResult("certified_positive", c, interval, None)
     if c < interval.lower - band:
-        return BlockPositivityResult("certified_negative", c, interval, pair)
+        return BlockPositivityResult("certified_negative", c, interval, interval.certificate)
     return BlockPositivityResult("undecided", c, interval, None)
 
 

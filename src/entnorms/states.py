@@ -16,6 +16,7 @@ import numpy as np
 
 from .dualnorms import Decomposition, build_decomposition
 from .errors import ParameterError
+from .kyfan import _check_k
 from .linalg import BipartiteOperator, bipartite
 from .schmidt import PureState, pure_state
 
@@ -81,15 +82,20 @@ def _sr_bounded_vec(rng: np.random.Generator, m: int, n: int, k: int) -> np.ndar
 
 def _sn_bounded_draw(
     spec: EnsembleSpec, rng: np.random.Generator
-) -> tuple[np.ndarray, list[np.ndarray]]:
+) -> tuple[BipartiteOperator, np.ndarray, list[np.ndarray]]:
+    """The sn_bounded_density mixture with its weights and pure terms."""
+    m, n = spec.dims
     k = _check_k_param(spec)
     terms = _need(spec, "terms")
     if terms < 1:
         raise ParameterError(f"terms must be >= 1, got {terms}")
     weights = rng.exponential(size=terms)
     weights = weights / np.sum(weights)
-    vecs = [_sr_bounded_vec(rng, spec.dim_a, spec.dim_b, k) for _ in range(terms)]
-    return weights, vecs
+    vecs = [_sr_bounded_vec(rng, m, n, k) for _ in range(terms)]
+    rho = np.zeros((m * n, m * n), dtype=np.complex128)
+    for w, v in zip(weights, vecs):
+        rho += w * np.outer(v, v.conj())
+    return bipartite(rho, m, n, symmetrize=True), weights, vecs
 
 
 def _need(spec: EnsembleSpec, field: str):
@@ -101,9 +107,7 @@ def _need(spec: EnsembleSpec, field: str):
 
 def _check_k_param(spec: EnsembleSpec) -> int:
     k = _need(spec, "k")
-    kmax = min(spec.dim_a, spec.dim_b)
-    if not 1 <= k <= kmax:
-        raise ParameterError(f"k must satisfy 1 <= k <= {kmax}, got {k}")
+    _check_k(spec.dim_a, spec.dim_b, k)
     return k
 
 
@@ -143,11 +147,7 @@ def generate(spec: EnsembleSpec) -> PureState | BipartiteOperator:
         return pure_state(_sr_bounded_vec(rng, m, n, k), m, n)
 
     if spec.kind == "sn_bounded_density":
-        weights, vecs = _sn_bounded_draw(spec, rng)
-        rho = np.zeros((m * n, m * n), dtype=np.complex128)
-        for w, v in zip(weights, vecs):
-            rho += w * np.outer(v, v.conj())
-        return bipartite(rho, m, n, symmetrize=True)
+        return _sn_bounded_draw(spec, rng)[0]
 
     if spec.kind == "ginibre_density":
         rank = spec.rank if spec.rank is not None else m * n
@@ -172,12 +172,7 @@ def sn_bounded_ensemble(spec: EnsembleSpec) -> tuple[BipartiteOperator, Decompos
     if spec.kind != "sn_bounded_density":
         raise ParameterError(f"sn_bounded_ensemble needs kind sn_bounded_density, got {spec.kind!r}")
     m, n = spec.dims
-    rng = np.random.default_rng(spec.seed)
-    weights, vecs = _sn_bounded_draw(spec, rng)
-    rho = np.zeros((m * n, m * n), dtype=np.complex128)
-    for w, v in zip(weights, vecs):
-        rho += w * np.outer(v, v.conj())
-    target = bipartite(rho, m, n, symmetrize=True)
+    target, weights, vecs = _sn_bounded_draw(spec, np.random.default_rng(spec.seed))
     arr = np.array(vecs)
     dec = build_decomposition(weights, arr, arr, m, n, spec.k, target)
     return target, dec

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import entnorms.dualnorms as dualnorms
 from entnorms.dualnorms import (
     Decomposition,
     Witness,
@@ -346,3 +347,38 @@ def test_entanglement_rescale_keeps_exact_only_for_equal_endpoints():
     r = NormInterval(1.0, 1.0 + 1e-10, "lo", "hi", True)
     assert not robustness_to_entanglement(r).exact
     assert robustness_to_entanglement(NormInterval(3.0, 3.0, "lo", "hi", True)).exact
+
+
+def test_sn_certify_reuses_the_gamma_witness(monkeypatch):
+    calls = []
+    seesaw = dualnorms.seesaw_lower
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return seesaw(*args, **kwargs)
+
+    monkeypatch.setattr(dualnorms, "seesaw_lower", counted)
+    rho = generate(EnsembleSpec("isotropic", 3, 3, p=0.65))
+    cert = sn_certify(rho, 1, restarts=8)
+    assert cert.verdict == "exceeds_k"
+    assert len(calls) == 1
+    assert cert.witness is cert.gamma.certificate
+    assert cert.witness.bound > 1.0
+
+
+def test_gamma_certificate_on_pure_projectors():
+    rng = np.random.default_rng(31)
+    for m, n in ((2, 3), (3, 3), (3, 4), (4, 4)):
+        x = projector(haar_state(rng, m, n))
+        for k in range(1, min(m, n)):
+            iv = gamma_bounds(x, k)
+            wit = iv.certificate
+            u, s, vh = np.linalg.svd(wit.w.mat)
+            assert s[1] <= 1e-12 * s[0]
+            a = pure_state(np.sqrt(s[0]) * u[:, 0], m, n, require_normalized=False)
+            b = pure_state(np.sqrt(s[0]) * vh[0].conj(), m, n, require_normalized=False)
+            assert sk_elementary(a, b, k) <= 1.0 + 1e-12
+            assert abs(wit.bound - iv.lower) <= 1e-12 * iv.lower
+        iv = gamma_bounds(x, min(m, n))
+        assert iv.certificate.method == "sign_unitary"
+        assert iv.certificate.bound == iv.lower

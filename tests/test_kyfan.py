@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from entnorms.errors import DegenerateInputError, ParameterError
-from entnorms.kyfan import break_index, k2_dual, k2_dual_from_singular_values, k2_norm
+from entnorms.kyfan import (
+    break_index,
+    k2_dual,
+    k2_dual_attainer,
+    k2_dual_from_singular_values,
+    k2_norm,
+)
 from entnorms.linalg import hs_inner, matrix_norms
 from oracles import ascent_k2_dual, atomic_lp_dual
 
@@ -123,3 +129,20 @@ def test_k2_norm_parameter_errors():
         k2_norm(x, 4)
     with pytest.raises(ParameterError):
         k2_dual(x, -1)
+
+
+def test_k2_dual_attainer_has_unit_norm_and_attains_the_dual():
+    rng = np.random.default_rng(14)
+    mats = [np.outer(rng.standard_normal(3), rng.standard_normal(3))]
+    for shape in ((3, 3), (2, 5), (4, 3)):
+        mats += [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(5)]
+    for x in mats:
+        for k in range(1, min(x.shape) + 1):
+            y, value = k2_dual_attainer(x, k)
+            assert value == k2_dual(x, k)
+            assert abs(k2_norm(y, k) - 1.0) < 1e-12
+            assert abs(hs_inner(y, x).real - value) <= 1e-12 * value
+    with pytest.raises(DegenerateInputError):
+        k2_dual_attainer(np.zeros((2, 2)), 1)
+    with pytest.raises(ParameterError):
+        k2_dual_attainer(np.eye(3), 4)

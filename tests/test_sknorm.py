@@ -261,3 +261,22 @@ def test_exact_is_relative_to_the_value():
     with pytest.raises(ParameterError):
         NormInterval(2.7e-13, 3.96e-13, "a", "b", True)
     assert NormInterval(1e9, 1e9 + 0.5, "a", "b", True).exact
+
+
+def test_sk_certificate_attains_the_lower_endpoint():
+    rng = np.random.default_rng(23)
+    g = bipartite(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)), 3, 3)
+    cases = [
+        (g, 1, "seesaw"),
+        (g, 3, "operator_norm_exact"),
+        (projector(haar_state(rng, 3, 3)), 2, "rank_one_exact"),
+        (bipartite(np.zeros((9, 9)), 3, 3), 1, "zero_operator"),
+    ]
+    for x, k, tag in cases:
+        iv = sk_bounds(x, k, restarts=8)
+        pair = iv.certificate
+        assert iv.lower_method == tag
+        assert pair.value == iv.lower
+        assert schmidt_rank(pair.v) <= k and schmidt_rank(pair.w) <= k
+        pairing = abs(np.vdot(pair.v.amplitudes, x.mat @ pair.w.amplitudes))
+        assert abs(pairing - iv.lower) <= 1e-12 * max(1.0, iv.lower)

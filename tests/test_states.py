@@ -81,6 +81,8 @@ def test_spec_validation():
     with pytest.raises(ParameterError):
         generate(EnsembleSpec("sr_bounded_pure", 2, 2, k=3))
     with pytest.raises(ParameterError):
+        generate(EnsembleSpec("sr_bounded_pure", 2, 2, k=1.5))
+    with pytest.raises(ParameterError):
         generate(EnsembleSpec("sn_bounded_density", 2, 2, k=1))
     with pytest.raises(ParameterError):
         generate(EnsembleSpec("sn_bounded_density", 2, 2, k=1, terms=0))
