@@ -89,10 +89,11 @@ def _parse_operator_doc(doc, path: str) -> tuple[PureState | BipartiteOperator, 
         if field not in doc:
             raise ParameterError(f"{path}: missing field '{field}'")
     dims = doc["dims"]
+    # type(), not isinstance(): JSON true/false load as bool, an int subclass.
     if (
         not isinstance(dims, list)
         or len(dims) != 2
-        or not all(isinstance(d, int) and d >= 1 for d in dims)
+        or not all(type(d) is int and d >= 1 for d in dims)
     ):
         raise ParameterError(f"{path}: field 'dims' must be two positive integers")
     m, n = dims
@@ -207,7 +208,7 @@ def _cmd_norm(args):
         result = _interval_dict(sknorm.sk_bounds(x, args.k, tol=tol, **kw))
     elif which == "gamma":
         x = _as_operator(value)
-        result = _interval_dict(dualnorms.gamma_bounds(x, args.k, tol=tol, **kw))
+        result = _interval_dict(dualnorms.gamma_bounds(x, args.k))
     elif which == "radius":
         x = _as_operator(value)
         result = _interval_dict(sknorm.prod_radius_bounds(x, args.k, tol=tol, **kw))
@@ -240,9 +241,7 @@ def _cmd_blockpos(args):
     value, warnings, digest = _load(args.file)
     y = _as_operator(value)
     tol = args.tol if args.tol is not None else 1e-9
-    res = sknorm.block_positivity_check(
-        y, args.k, tol=tol, restarts=args.restarts, max_iter=args.max_iter, seed=args.seed
-    )
+    res = sknorm.block_positivity_check(y, args.k, tol=tol, **_seesaw_kwargs(args))
     result = {
         "verdict": res.verdict,
         "c": res.c,
@@ -256,7 +255,7 @@ def _cmd_witness(args):
     value, warnings, digest = _load(args.file)
     x = _as_operator(value)
     tol = args.tol if args.tol is not None else 1e-10
-    wit = dualnorms.best_gamma_witness(x, args.k, tol=tol, **_seesaw_kwargs(args))
+    wit = dualnorms.best_gamma_witness(x, args.k)
     result = {
         "method": wit.method,
         "pairing": wit.pairing,
@@ -283,7 +282,7 @@ def _cmd_probe(args):
     value, warnings, digest = _load(args.file)
     v = _as_pure(value, "probe-conjecture")
     tol = args.tol if args.tol is not None else 1e-10
-    probe = dualnorms.conjecture_probe(v, args.k, tol=tol, **_seesaw_kwargs(args))
+    probe = dualnorms.conjecture_probe(v, args.k)
     result = {
         "candidate": probe.candidate,
         "interval": _interval_dict(probe.interval),

@@ -81,22 +81,21 @@ def detect_schmidt_number(
     k: int,
     use_filter: bool = False,
     tol: float = DETECTION_TOL,
-    filter_tol: float = FILTER_TOL,
-    filter_max_iter: int = FILTER_MAX_ITER,
 ) -> DetectionReport:
     """Realignment criterion against threshold 1, optionally after a local
     filter.
 
     Both the raw and the filtered value are sound, so the report carries
-    the larger; filtered records whether the filtered path supplied it.  A
-    filter that fails or does not converge degrades to the raw value.
+    the larger; filtered records whether the filtered path supplied it.  The
+    filter runs with FILTER_TOL and FILTER_MAX_ITER; one that fails or does
+    not converge degrades to the raw value.
     """
     _require_density(rho, "detect_schmidt_number")
     value = realignment_value(rho, k)
     filtered = False
     if use_filter:
         try:
-            fr = local_filter(rho, tol=filter_tol, max_iter=filter_max_iter)
+            fr = local_filter(rho)
             fval = realignment_value(fr.rho, k)
         except EntnormsError:
             fval = None
@@ -136,22 +135,16 @@ def weak_realignment(rho: BipartiteOperator, k: int, tol: float = DETECTION_TOL)
     )
 
 
-def cross_norm_test(
-    rho: BipartiteOperator,
-    k: int,
-    tol: float = DETECTION_TOL,
-    restarts: int = 32,
-    max_iter: int = 500,
-    seed: int = 0,
-) -> DetectionReport:
+def cross_norm_test(rho: BipartiteOperator, k: int, tol: float = DETECTION_TOL) -> DetectionReport:
     """Certified gamma_k lower bound against threshold 1.
 
     Density matrices of Schmidt number <= k have gamma_k exactly 1, so any
     certified lower bound above 1 detects SN > k.  Subsumes the realignment
-    value (it is one of the gamma lower bounds) at see-saw cost.
+    value (it is one of the gamma lower bounds) at the cost of one svd and,
+    for hermitian input, one eigendecomposition; no search is involved.
     """
     _require_density(rho, "cross_norm_test")
-    gb = gamma_bounds(rho, k, restarts=restarts, max_iter=max_iter, seed=seed)
+    gb = gamma_bounds(rho, k)
     return DetectionReport(
         criterion="cross_norm",
         k=k,

@@ -9,7 +9,8 @@ operators and at k = min(dims), and otherwise bracketed:
 
   lower bounds   trace norm, the realigned dual value k2_dual(L(x), k^2),
                  and duality witnesses (pairing divided by a certified
-                 dual-side upper bound);
+                 dual-side upper bound): the sign unitary of x and, for
+                 hermitian x, its eigenprojectors; no search is needed;
   upper bounds   explicit decompositions: singular triples split with the
                  rank-one closed form, and a sampled linear program over
                  Schmidt-truncated generators.
@@ -36,15 +37,7 @@ from .errors import InfeasibleError, ParameterError, PreconditionError
 from .kyfan import _check_k
 from .linalg import BipartiteOperator, bipartite, eig_hermitian, realign, svd
 from .schmidt import PureState, pure_state, schmidt_decompose
-from .sknorm import (
-    NormInterval,
-    _check_budgets,
-    _exact_interval,
-    _finish_interval,
-    _random_sr_vec,
-    seesaw_lower,
-    sk_pure,
-)
+from .sknorm import NormInterval, _exact_interval, _finish_interval, _random_sr_vec, sk_pure
 
 COEFF_PRUNE_RTOL = 1e-12
 SPECTRAL_CUTOFF_RTOL = 1e-14
@@ -259,34 +252,21 @@ def _sign_unitary_witness(
     return Witness(bipartite(u @ vh, m, n), 1.0, float(np.sum(s)), k, "sign_unitary")
 
 
-def best_gamma_witness(
-    x: BipartiteOperator,
-    k: int,
-    restarts: int = 32,
-    max_iter: int = 500,
-    tol: float = 1e-10,
-    seed: int = 0,
-) -> Witness:
+def best_gamma_witness(x: BipartiteOperator, k: int) -> Witness:
     """Strongest available duality witness for a lower bound on gamma_k(x).
 
-    Candidates: the best see-saw ket-bra (its S(k) norm is 1 by
-    construction), the sign unitary of x's SVD (operator norm 1, pairing
-    the trace norm), and for hermitian x each eigenprojector normalized by
-    its exact S(k) value.
+    Candidates: the sign unitary of x's SVD (operator norm 1, pairing the
+    trace norm) and, for hermitian x, each eigenprojector normalized by its
+    exact S(k) value.  No ket-bra |v><w| of S(k) norm 1 can beat the sign
+    unitary: its pairing |<v|x|w>| is at most |x|_op <= |x|_1.
     """
     m, n = x.dims
     _check_k(m, n, k)
-    _check_budgets(restarts, max_iter, seed)
     u, s, vh = svd(x.mat)
     if s[0] <= 0.0:
         raise ParameterError("the zero operator admits no witness")
 
-    ss = seesaw_lower(x, k, restarts=restarts, max_iter=max_iter, tol=tol, seed=seed)
-    ketbra = np.outer(ss.v.amplitudes, ss.w.amplitudes.conj())
-    candidates = [
-        Witness(bipartite(ketbra, m, n), 1.0, ss.value, k, "seesaw_ketbra"),
-        _sign_unitary_witness(u, s, vh, m, n, k),
-    ]
+    candidates = [_sign_unitary_witness(u, s, vh, m, n, k)]
 
     if x.hermitian:
         lam, vecs = eig_hermitian(x.mat)
@@ -313,9 +293,6 @@ def best_gamma_witness(
 def gamma_bounds(
     x: BipartiteOperator,
     k: int,
-    restarts: int = 32,
-    max_iter: int = 500,
-    tol: float = 1e-10,
     seed: int = 0,
     oracle_budget: int | None = None,
 ) -> NormInterval:
@@ -323,11 +300,12 @@ def gamma_bounds(
 
     Exact on rank-one inputs (the closed-form dual product) and at
     k = min(dims) (the trace norm).  Otherwise the lower endpoint is the
-    best of trace norm, realigned dual value, and duality witnesses; the
-    upper endpoint the best explicit decomposition, including the sampled
-    LP oracle when a budget is passed.  The certificate is the best
-    Witness (bound at most lower): the dual-attaining ket-bra on rank-one
-    inputs, the sign unitary at k = min(dims).
+    best of trace norm, realigned dual value, and the best_gamma_witness
+    bound; the upper endpoint the best explicit decomposition, including
+    the sampled LP oracle (seeded by seed) when a budget is passed.  The
+    certificate is the best Witness (bound at most lower): the
+    dual-attaining ket-bra on rank-one inputs, the sign unitary at
+    k = min(dims), else the sign unitary or an eigenprojector.
     """
     m, n = x.dims
     _check_k(m, n, k)
@@ -351,7 +329,7 @@ def gamma_bounds(
         ("trace_norm", trace_norm),
         ("realigned_dual", float(kyfan.k2_dual(realign(x), k * k))),
     ]
-    wit = best_gamma_witness(x, k, restarts=restarts, max_iter=max_iter, tol=tol, seed=seed)
+    wit = best_gamma_witness(x, k)
     lowers.append((f"witness_{wit.method}", wit.bound))
 
     cutoff = SPECTRAL_CUTOFF_RTOL * float(s[0])
@@ -462,20 +440,16 @@ def decomposition_oracle(
 def robustness_bounds(
     y: BipartiteOperator,
     k: int,
-    restarts: int = 32,
-    max_iter: int = 500,
-    tol: float = 1e-10,
-    seed: int = 0,
     sn_at_most_k: bool = False,
 ) -> NormInterval:
     """Certified bracket for the robustness R_k of a hermitian operator.
 
-    Lower bounds are the gamma_k lower bounds (R_k >= gamma_k: every
-    admissible splitting is in particular a decomposition) together with
-    hermitian duality witnesses, which for eigenprojectors coincide with
-    the gamma eigenprojector witnesses since radius and S(k) norm agree on
-    PSD operators.  The upper bound splits the eigendecomposition
-    eigenvector by eigenvector with the proven k = 1 pure formula
+    The lower endpoint is the gamma_k lower bound (R_k >= gamma_k: every
+    admissible splitting is in particular a decomposition); its
+    eigenprojector witnesses serve as robustness witnesses too, since
+    radius and S(k) norm agree on PSD operators.  No search is involved.
+    The upper bound splits the eigendecomposition eigenvector by
+    eigenvector with the proven k = 1 pure formula
     R_1(|u><u|) = 2 gamma_1(u) - 1, admissible for every k.  Pass
     sn_at_most_k=True when the input is a density matrix already known to
     have Schmidt number <= k; that caps the upper bound at the exact 1.
@@ -485,7 +459,7 @@ def robustness_bounds(
     m, n = y.dims
     _check_k(m, n, k)
 
-    gb = gamma_bounds(y, k, restarts=restarts, max_iter=max_iter, tol=tol, seed=seed)
+    gb = gamma_bounds(y, k)
     if gb.exact and k == min(m, n):
         # R_min equals the trace norm as well: splitting the eigenvalues by
         # sign is admissible at full k and matches the gamma lower bound.
@@ -535,14 +509,7 @@ class ConjectureProbe:
     in_open_regime: bool
 
 
-def conjecture_probe(
-    v: PureState,
-    k: int,
-    restarts: int = 32,
-    max_iter: int = 500,
-    tol: float = 1e-10,
-    seed: int = 0,
-) -> ConjectureProbe:
+def conjecture_probe(v: PureState, k: int) -> ConjectureProbe:
     """Probe whether 2 gamma_k(v) - 1 falls inside the robustness bracket.
 
     k = 1 and k = min(dims) sit outside the open regime (the equality is a
@@ -552,14 +519,7 @@ def conjecture_probe(
     _check_k(m, n, k)
     candidate = 2.0 * gamma_pure(v, k) - 1.0
     proj = np.outer(v.amplitudes, v.amplitudes.conj())
-    interval = robustness_bounds(
-        bipartite(proj, m, n, symmetrize=True),
-        k,
-        restarts=restarts,
-        max_iter=max_iter,
-        tol=tol,
-        seed=seed,
-    )
+    interval = robustness_bounds(bipartite(proj, m, n, symmetrize=True), k)
     gap = max(0.0, interval.lower - candidate, candidate - interval.upper)
     inside = gap <= 1e-9
     return ConjectureProbe(
@@ -608,8 +568,6 @@ def sn_certify(
     tol: float = DEFAULT_CERTIFY_TOL,
     budget: int | None = None,
     candidate: Decomposition | None = None,
-    restarts: int = 32,
-    max_iter: int = 500,
     seed: int = 0,
 ) -> SnCertification:
     """Three-way Schmidt-number certificate via gamma_k(rho) vs 1.
@@ -619,13 +577,14 @@ def sn_certify(
     certified value at most 1 + tol proves SN <= k.  Decompositions are
     tried in order: a caller-supplied candidate (e.g. the known generators
     of a constructed mixture), the constructive Schmidt-chunk split, then
-    the LP oracle when a budget is given.  Anything else is undecided.
+    the LP oracle (seeded by seed) when a budget is given.  Anything else
+    is undecided.
     """
     _require_density(rho, "sn_certify")
     m, n = rho.dims
     _check_k(m, n, k)
 
-    gb = gamma_bounds(rho, k, restarts=restarts, max_iter=max_iter, seed=seed)
+    gb = gamma_bounds(rho, k)
     if gb.lower > 1.0 + tol:
         wit = gb.certificate if gb.certificate.bound > 1.0 + tol else None
         return SnCertification("exceeds_k", k, gb, wit, None)

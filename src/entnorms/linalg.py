@@ -95,14 +95,14 @@ def bipartite(mat, dim_a: int, dim_b: int, *, symmetrize: bool = False) -> Bipar
     return BipartiteOperator(arr, dim_a, dim_b, hermitian=is_hermitian(arr))
 
 
-def kron(a, b, *, max_side: int = DEFAULT_KRON_CAP) -> np.ndarray:
-    """Kronecker product with a size cap on the result."""
+def kron(a, b) -> np.ndarray:
+    """Kronecker product with a side cap of DEFAULT_KRON_CAP on the result."""
     aa = np.asarray(a, dtype=np.complex128)
     bb = np.asarray(b, dtype=np.complex128)
     rows = aa.shape[0] * bb.shape[0] if aa.ndim == 2 and bb.ndim == 2 else aa.size * bb.size
     cols = aa.shape[1] * bb.shape[1] if aa.ndim == 2 and bb.ndim == 2 else 1
-    if max(rows, cols) > max_side:
-        raise DimensionError(f"kron result side {max(rows, cols)} exceeds cap {max_side}")
+    if max(rows, cols) > DEFAULT_KRON_CAP:
+        raise DimensionError(f"kron result side {max(rows, cols)} exceeds cap {DEFAULT_KRON_CAP}")
     return np.kron(aa, bb)
 
 
@@ -177,14 +177,14 @@ def svd(mat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NumericalError(f"svd did not converge: {exc}") from exc
 
 
-def eig_hermitian(mat, *, rtol: float = HERMITIAN_RTOL) -> tuple[np.ndarray, np.ndarray]:
+def eig_hermitian(mat) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a hermitian matrix, eigenvalues descending.
 
     Returns (w, V) with eigenvector columns V[:, i] matching w[i].  Raises
-    PreconditionError if the input is not hermitian within rtol.
+    PreconditionError if the input is not hermitian within HERMITIAN_RTOL.
     """
     arr = _as_complex_matrix(mat)
-    if not is_hermitian(arr, rtol):
+    if not is_hermitian(arr):
         raise PreconditionError("eig_hermitian requires a hermitian matrix")
     try:
         w, v = np.linalg.eigh((arr + arr.conj().T) / 2.0)

@@ -364,7 +364,6 @@ def block_positivity_check(
     tol: float = 1e-9,
     restarts: int = 32,
     max_iter: int = 500,
-    seesaw_tol: float = 1e-10,
     seed: int = 0,
 ) -> BlockPositivityResult:
     """Decide whether <v|y|v> >= 0 for all Schmidt-rank-<=k vectors v.
@@ -381,7 +380,7 @@ def block_positivity_check(
         raise PreconditionError("block_positivity_check requires a hermitian operator")
     lam, _ = eig_hermitian(y.mat)
     band = tol * max(1.0, abs(float(lam[0])), float(lam[0] - lam[-1]))
-    c, interval = _shifted_sk(y, lam, 1.0, k, restarts, max_iter, seesaw_tol, seed, band)
+    c, interval = _shifted_sk(y, lam, 1.0, k, restarts, max_iter, 1e-10, seed, band)
     if c >= interval.upper - band:
         return BlockPositivityResult("certified_positive", c, interval, None)
     if c < interval.lower - band:

@@ -200,7 +200,7 @@ def test_c06_decomposition_oracle_certifies_from_above():
         (generate(EnsembleSpec("ginibre_density", 2, 3, seed=8)), 2),
     ]
     for i, (x, k) in enumerate(suite):
-        lower = gamma_bounds(x, k, restarts=16, seed=0).lower
+        lower = gamma_bounds(x, k, seed=0).lower
         up, _ = decomposition_oracle(x, k, budget=2000, seed=0)
         if up < lower - 1e-9:
             problems.append(f"suite input {i}: oracle {up:.9f} below lower {lower:.9f}")
@@ -314,15 +314,15 @@ def test_c11_robustness_brackets_and_probes():
     problems = []
     for seed in range(20):
         rho = generate(EnsembleSpec("sn_bounded_density", 3, 3, k=1, terms=6, seed=seed))
-        iv = robustness_bounds(rho, 1, restarts=16, seed=0)
+        iv = robustness_bounds(rho, 1)
         if not (1.0 - 1e-9 <= iv.lower <= 1.0 + 1e-9 and iv.upper >= 1.0 - 1e-9):
             problems.append(f"separable seed {seed}: bracket [{iv.lower}, {iv.upper}]")
-    bell = robustness_bounds(_bell_rho(), 1, restarts=16, seed=0)
+    bell = robustness_bounds(_bell_rho(), 1)
     if abs(bell.upper - 3.0) > 1e-9:
         problems.append(f"bell upper {bell.upper!r} is not 3 within 1e-9")
     rng = np.random.default_rng(111)
     for trial in range(20):
-        pr = conjecture_probe(_haar(rng, 3, 3), 2, restarts=16, seed=0)
+        pr = conjecture_probe(_haar(rng, 3, 3), 2)
         if not pr.inside:
             problems.append(f"probe {trial}: candidate {pr.candidate:.9f} escaped "
                             f"[{pr.interval.lower:.9f}, {pr.interval.upper:.9f}]")

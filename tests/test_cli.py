@@ -234,6 +234,18 @@ def test_nonfinite_data_exits_one(tmp_path, capsys):
     assert "non-finite" in err
 
 
+def test_boolean_dims_exit_one(tmp_path, capsys):
+    # JSON true loads as a Python bool, which is an int subclass.
+    path = tmp_path / "booldims.json"
+    path.write_text(json.dumps(
+        {"dims": [True, 2], "kind": "operator",
+         "data": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}))
+    code = run(["norm", "--which", "sk", "--k", "1", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "field 'dims' must be two positive integers" in err
+
+
 def test_density_deviation_warnings(tmp_path, capsys):
     mat = np.eye(9) / 9.0 * 0.999998
     doc = {"dims": [3, 3], "kind": "density",

@@ -144,16 +144,16 @@ def test_weak_implies_generalized():
 
 def test_cross_norm_test():
     bell = max_entangled_rho(2)
-    rep = cross_norm_test(bell, 1, restarts=8)
+    rep = cross_norm_test(bell, 1)
     assert rep.criterion == "cross_norm"
     assert rep.detected
     assert rep.value >= 2.0 - 1e-9
     sep = generate(EnsembleSpec("sn_bounded_density", 3, 3, k=1, terms=6, seed=3))
-    rep = cross_norm_test(sep, 1, restarts=8)
+    rep = cross_norm_test(sep, 1)
     assert not rep.detected
     assert rep.value >= 1.0 - 1e-9
     rho = generate(EnsembleSpec("ginibre_density", 3, 3, seed=1))
-    assert cross_norm_test(rho, 2, restarts=8).value >= realignment_value(rho, 2) - 1e-9
+    assert cross_norm_test(rho, 2).value >= realignment_value(rho, 2) - 1e-9
 
 
 def test_pure_state_sr_verdicts():

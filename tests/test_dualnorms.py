@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import entnorms.dualnorms as dualnorms
+import entnorms.sknorm as sknorm
 from entnorms.dualnorms import (
     Decomposition,
     Witness,
@@ -105,7 +106,7 @@ def test_gamma_bounds_exact_paths():
 
 def test_gamma_bounds_on_bounded_mixture():
     rho = generate(EnsembleSpec("sn_bounded_density", 3, 3, k=1, terms=6, seed=9))
-    iv = gamma_bounds(rho, 1, restarts=16, seed=0)
+    iv = gamma_bounds(rho, 1, seed=0)
     assert iv.lower >= 1.0 - 1e-9
     assert iv.lower <= 1.0 + 1e-9
     assert iv.upper >= iv.lower
@@ -259,7 +260,7 @@ def test_robustness_brackets():
 
 def test_robustness_separable_cap():
     rho = generate(EnsembleSpec("sn_bounded_density", 3, 3, k=1, terms=6, seed=2))
-    iv = robustness_bounds(rho, 1, restarts=16, sn_at_most_k=True)
+    iv = robustness_bounds(rho, 1, sn_at_most_k=True)
     assert iv.upper == 1.0
     assert iv.lower >= 1.0 - 1e-9
     e = robustness_to_entanglement(iv)
@@ -277,10 +278,10 @@ def test_robustness_to_entanglement_rescale():
 def test_conjecture_probe_edges():
     rng = np.random.default_rng(4)
     v = haar_state(rng, 3, 3)
-    pr = conjecture_probe(v, 1, restarts=8)
+    pr = conjecture_probe(v, 1)
     assert pr.inside and not pr.in_open_regime
     assert abs(pr.candidate - pr.interval.upper) < 1e-12
-    pr = conjecture_probe(v, 3, restarts=8)
+    pr = conjecture_probe(v, 3)
     assert pr.inside and not pr.in_open_regime
     assert abs(pr.candidate - 1.0) < 1e-12
     with pytest.raises(ParameterError):
@@ -290,7 +291,7 @@ def test_conjecture_probe_edges():
 def test_conjecture_probe_open_regime():
     rng = np.random.default_rng(17)
     for _ in range(3):
-        pr = conjecture_probe(haar_state(rng, 3, 3), 2, restarts=16)
+        pr = conjecture_probe(haar_state(rng, 3, 3), 2)
         assert pr.in_open_regime
         assert pr.inside, f"candidate {pr.candidate} escaped {pr.interval}"
         assert pr.gap == 0.0
@@ -307,7 +308,7 @@ def test_sn_certify_bell_exceeds():
 def test_sn_certify_candidate_path():
     rho, dec = sn_bounded_ensemble(EnsembleSpec("sn_bounded_density", 3, 3, k=2,
                                                 terms=5, seed=7))
-    cert = sn_certify(rho, 2, candidate=dec, restarts=8)
+    cert = sn_certify(rho, 2, candidate=dec)
     assert cert.verdict == "at_most_k"
     assert cert.decomposition is dec
     assert cert.witness is None
@@ -315,7 +316,7 @@ def test_sn_certify_candidate_path():
 
 def test_sn_certify_chunk_path():
     v = generate(EnsembleSpec("sr_bounded_pure", 3, 3, k=2, seed=11))
-    cert = sn_certify(projector(v), 2, restarts=8)
+    cert = sn_certify(projector(v), 2)
     assert cert.verdict == "at_most_k"
     assert cert.decomposition is not None
     assert len(cert.decomposition) == 1
@@ -323,7 +324,7 @@ def test_sn_certify_chunk_path():
 
 def test_sn_certify_undecided_without_budget():
     rho = generate(EnsembleSpec("isotropic", 3, 3, p=0.2, seed=0))
-    cert = sn_certify(rho, 1, restarts=8)
+    cert = sn_certify(rho, 1)
     assert cert.verdict == "undecided"
     assert cert.gamma.lower <= 1.0 + 1e-9
 
@@ -340,7 +341,7 @@ def test_sn_certify_validation():
                                                 terms=5, seed=7))
     sep = generate(EnsembleSpec("sn_bounded_density", 3, 3, k=1, terms=6, seed=2))
     with pytest.raises(ParameterError):
-        sn_certify(sep, 1, candidate=dec, restarts=8)
+        sn_certify(sep, 1, candidate=dec)
 
 
 def test_entanglement_rescale_keeps_exact_only_for_equal_endpoints():
@@ -351,17 +352,19 @@ def test_entanglement_rescale_keeps_exact_only_for_equal_endpoints():
 
 def test_sn_certify_reuses_the_gamma_witness(monkeypatch):
     calls = []
-    seesaw = dualnorms.seesaw_lower
+    seesaw = sknorm.seesaw_lower
 
     def counted(*args, **kwargs):
         calls.append(1)
         return seesaw(*args, **kwargs)
 
-    monkeypatch.setattr(dualnorms, "seesaw_lower", counted)
+    # Count see-saws through every binding; gamma_k witnesses need none.
+    monkeypatch.setattr(sknorm, "seesaw_lower", counted)
+    monkeypatch.setattr(dualnorms, "seesaw_lower", counted, raising=False)
     rho = generate(EnsembleSpec("isotropic", 3, 3, p=0.65))
-    cert = sn_certify(rho, 1, restarts=8)
+    cert = sn_certify(rho, 1)
     assert cert.verdict == "exceeds_k"
-    assert len(calls) == 1
+    assert len(calls) == 0
     assert cert.witness is cert.gamma.certificate
     assert cert.witness.bound > 1.0
 

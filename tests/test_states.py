@@ -104,7 +104,7 @@ def test_ensemble_returns_generating_decomposition():
     assert dec.residual < 1e-12
     assert abs(dec.weight - 1.0) < 1e-12
     assert certified_upper_from_decomposition(rho, dec) <= 1.0 + 1e-9
-    cert = sn_certify(rho, 2, candidate=dec, restarts=8)
+    cert = sn_certify(rho, 2, candidate=dec)
     assert cert.verdict == "at_most_k"
     with pytest.raises(ParameterError):
         sn_bounded_ensemble(EnsembleSpec("haar_pure", 2, 2))
