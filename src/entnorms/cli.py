@@ -8,7 +8,9 @@ violations are surfaced as warnings in the report, never silently fixed
 
 Reports are JSON with a fixed key set: command, inputs (sha256 of the input
 file or of the parameter string), k, result, tolerances, seed,
-wall_time_ms, warnings.  With the same argv and seed the report is
+wall_time_ms, warnings.  witness and probe-conjecture take no --tol,
+--restarts, --max-iter or --seed; their reports carry empty tolerances and
+a null seed.  With the same argv and seed the report is
 byte-identical apart from wall_time_ms.  The text format is a human
 rendering of the same data and is not a stable interface.
 
@@ -254,7 +256,6 @@ def _cmd_blockpos(args):
 def _cmd_witness(args):
     value, warnings, digest = _load(args.file)
     x = _as_operator(value)
-    tol = args.tol if args.tol is not None else 1e-10
     wit = dualnorms.best_gamma_witness(x, args.k)
     result = {
         "method": wit.method,
@@ -262,7 +263,7 @@ def _cmd_witness(args):
         "sk_upper": wit.sk_upper,
         "bound": wit.bound,
     }
-    return result, args.k, {"tol": tol}, warnings, digest, 0
+    return result, args.k, {}, warnings, digest, 0
 
 
 def _cmd_oracle(args):
@@ -281,7 +282,6 @@ def _cmd_oracle(args):
 def _cmd_probe(args):
     value, warnings, digest = _load(args.file)
     v = _as_pure(value, "probe-conjecture")
-    tol = args.tol if args.tol is not None else 1e-10
     probe = dualnorms.conjecture_probe(v, args.k)
     result = {
         "candidate": probe.candidate,
@@ -290,7 +290,7 @@ def _cmd_probe(args):
         "gap": probe.gap,
         "in_open_regime": probe.in_open_regime,
     }
-    return result, args.k, {"tol": tol}, warnings, digest, 0
+    return result, args.k, {}, warnings, digest, 0
 
 
 def _cmd_gen(args):
@@ -384,18 +384,20 @@ _HANDLERS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
+    # witness and probe-conjecture read nothing but the report options.
+    report = _Parser(add_help=False)
+    report.add_argument("--format", choices=("json", "text"), default="json",
+                        help="report rendering (json is the stable interface)")
+    report.add_argument("--out", default=None,
+                        help="write the report here instead of stdout (gen: the state file)")
+    report.add_argument("--inject-svd-failure", action="store_true",
+                        help="testing hook: force the next svd to fail")
+    common = _Parser(add_help=False, parents=[report])
     common.add_argument("--tol", type=float, default=None,
                         help="decision tolerance of the command (default per command)")
     common.add_argument("--restarts", type=int, default=32, help="see-saw restarts")
     common.add_argument("--max-iter", type=int, default=500, help="see-saw iteration cap")
     common.add_argument("--seed", type=int, default=0, help="seed for all randomized steps")
-    common.add_argument("--format", choices=("json", "text"), default="json",
-                        help="report rendering (json is the stable interface)")
-    common.add_argument("--out", default=None,
-                        help="write the report here instead of stdout (gen: the state file)")
-    common.add_argument("--inject-svd-failure", action="store_true",
-                        help="testing hook: force the next svd to fail")
 
     parser = _Parser(prog="entnorms",
                      description="Entanglement norms: bounds, certificates, detection")
@@ -422,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit 3 when the verdict is undecided")
     p.add_argument("file")
 
-    p = sub.add_parser("witness", parents=[common], help="best duality witness for gamma_k")
+    p = sub.add_parser("witness", parents=[report], help="best duality witness for gamma_k")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("file")
 
@@ -431,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=2000, help="generator pool size")
     p.add_argument("file")
 
-    p = sub.add_parser("probe-conjecture", parents=[common],
+    p = sub.add_parser("probe-conjecture", parents=[report],
                        help="compare 2*gamma_k - 1 against the robustness bracket")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("file")
@@ -508,7 +510,7 @@ def run(argv=None) -> int:
         "k": k,
         "result": result,
         "tolerances": tolerances,
-        "seed": args.seed,
+        "seed": getattr(args, "seed", None),
         "wall_time_ms": round((time.perf_counter() - start) * 1000.0, 3),
         "warnings": warnings,
     }

@@ -7,21 +7,23 @@ Y = c1 rho1 - c2 rho2 with Schmidt-number-<=k density parts; it is dual to
 the restricted numerical radius.  Both are exactly computable on rank-one
 operators and at k = min(dims), and otherwise bracketed:
 
-  lower bounds   trace norm, the realigned dual value k2_dual(L(x), k^2),
-                 and duality witnesses (pairing divided by a certified
-                 dual-side upper bound): the sign unitary of x and, for
+  lower bounds   duality witnesses only, each a pairing divided by a
+                 certified upper bound on the witness's S(k) norm: the sign
+                 unitary of x (the trace norm), the realignment witness
+                 (the realigned dual value k2_dual(L(x), k^2)) and, for
                  hermitian x, its eigenprojectors; no search is needed;
   upper bounds   explicit decompositions: singular triples split with the
                  rank-one closed form, and a sampled linear program over
                  Schmidt-truncated generators.
 
-The realigned lower bound is valid for every operator, not only density
-matrices: if x = sum c_i |v_i><w_i| with SR <= k factors, then L maps each
-unit ket-bra to a matrix of rank <= k^2 and unit Frobenius norm (L of a
-product ket-bra |a tensor b><c tensor d| is the rank-one |a tensor c*>
-<b* tensor d|, and a ket-bra with SR <= k factors is a k x k grid of such
-terms), so the pairing of L(x) against any unit-(k^2,2)-norm matrix is at
-most sum c_i.
+The realignment witness is W = L^-1(Y) for the unit-(k^2,2)-norm matrix Y
+attaining k2_dual(L(x), k^2); as L permutes entries, <W, x> = <Y, L(x)>.
+Its S(k) norm is at most 1, so the bound holds for every operator, not only
+density matrices: L maps each unit ket-bra with SR <= k factors to a matrix
+of rank <= k^2 and unit Frobenius norm (L of a product ket-bra
+|a tensor b><c tensor d| is the rank-one |a tensor c*><b* tensor d|, and a
+ket-bra with SR <= k factors is a k x k grid of such terms), and the
+pairing of Y with such a matrix is at most its (k^2,2) norm, 1.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from scipy.optimize import linprog
 from . import kyfan
 from .errors import InfeasibleError, ParameterError, PreconditionError
 from .kyfan import _check_k
-from .linalg import BipartiteOperator, bipartite, eig_hermitian, realign, svd
+from .linalg import BipartiteOperator, bipartite, eig_hermitian, realign, realign_inverse, svd
 from .schmidt import PureState, pure_state, schmidt_decompose
 from .sknorm import NormInterval, _exact_interval, _finish_interval, _random_sr_vec, sk_pure
 
@@ -255,10 +257,13 @@ def _sign_unitary_witness(
 def best_gamma_witness(x: BipartiteOperator, k: int) -> Witness:
     """Strongest available duality witness for a lower bound on gamma_k(x).
 
-    Candidates: the sign unitary of x's SVD (operator norm 1, pairing the
-    trace norm) and, for hermitian x, each eigenprojector normalized by its
-    exact S(k) value.  No ket-bra |v><w| of S(k) norm 1 can beat the sign
-    unitary: its pairing |<v|x|w>| is at most |x|_op <= |x|_1.
+    Candidates, in this order (ties go to the earlier one): the sign
+    unitary of x's SVD (operator norm 1, pairing the trace norm), the
+    realignment witness of the module docstring (S(k) norm at most 1,
+    pairing the realigned dual value) and, for hermitian x, each
+    eigenprojector normalized by its exact S(k) value.  No ket-bra |v><w|
+    of S(k) norm 1 can beat the sign unitary: its pairing |<v|x|w>| is at
+    most |x|_op <= |x|_1.
     """
     m, n = x.dims
     _check_k(m, n, k)
@@ -266,7 +271,11 @@ def best_gamma_witness(x: BipartiteOperator, k: int) -> Witness:
     if s[0] <= 0.0:
         raise ParameterError("the zero operator admits no witness")
 
-    candidates = [_sign_unitary_witness(u, s, vh, m, n, k)]
+    y, realigned = kyfan.k2_dual_attainer(realign(x), k * k)
+    candidates = [
+        _sign_unitary_witness(u, s, vh, m, n, k),
+        Witness(bipartite(realign_inverse(y, m, n), m, n), 1.0, realigned, k, "realigned_dual"),
+    ]
 
     if x.hermitian:
         lam, vecs = eig_hermitian(x.mat)
@@ -290,22 +299,17 @@ def best_gamma_witness(x: BipartiteOperator, k: int) -> Witness:
     return max(candidates, key=lambda c: c.bound)
 
 
-def gamma_bounds(
-    x: BipartiteOperator,
-    k: int,
-    seed: int = 0,
-    oracle_budget: int | None = None,
-) -> NormInterval:
+def gamma_bounds(x: BipartiteOperator, k: int) -> NormInterval:
     """Certified bracket for gamma_k(x).
 
     Exact on rank-one inputs (the closed-form dual product) and at
     k = min(dims) (the trace norm).  Otherwise the lower endpoint is the
-    best of trace norm, realigned dual value, and the best_gamma_witness
-    bound; the upper endpoint the best explicit decomposition, including
-    the sampled LP oracle (seeded by seed) when a budget is passed.  The
-    certificate is the best Witness (bound at most lower): the
-    dual-attaining ket-bra on rank-one inputs, the sign unitary at
-    k = min(dims), else the sign unitary or an eigenprojector.
+    bound of best_gamma_witness and the upper endpoint the weight of the
+    Schmidt-chunked singular triples, tagged svd_mixture; the sampled LP
+    oracle is the separate decomposition_oracle.  The certificate is the
+    Witness whose bound is the lower endpoint: the dual-attaining ket-bra
+    on rank-one inputs, the sign unitary at k = min(dims), else the winner
+    of best_gamma_witness, whose method is the lower tag.
     """
     m, n = x.dims
     _check_k(m, n, k)
@@ -313,24 +317,18 @@ def gamma_bounds(
 
     if s[0] <= 0.0:
         return _exact_interval(0.0, "zero_operator")
-    trace_norm = float(np.sum(s))
     if k == min(m, n):
         wit = _sign_unitary_witness(u, s, vh, m, n, k)
-        return _exact_interval(trace_norm, "trace_norm_exact", wit)
+        return _exact_interval(wit.bound, "trace_norm_exact", wit)
     if s.size == 1 or s[1] <= SPECTRAL_CUTOFF_RTOL * s[0]:
-        a, dual_u = kyfan.k2_dual_attainer(u[:, 0].reshape(m, n), k)
-        b, dual_w = kyfan.k2_dual_attainer(vh[0, :].conj().reshape(m, n), k)
+        a, _ = kyfan.k2_dual_attainer(u[:, 0].reshape(m, n), k)
+        b, _ = kyfan.k2_dual_attainer(vh[0, :].conj().reshape(m, n), k)
         ketbra = np.outer(a.reshape(-1), b.reshape(-1).conj())
         pairing = float(abs(np.vdot(ketbra, x.mat)))
         wit = Witness(bipartite(ketbra, m, n), 1.0, pairing, k, "dual_ketbra")
-        return _exact_interval(float(s[0]) * dual_u * dual_w, "rank_one_exact", wit)
+        return _exact_interval(wit.bound, "rank_one_exact", wit)
 
-    lowers = [
-        ("trace_norm", trace_norm),
-        ("realigned_dual", float(kyfan.k2_dual(realign(x), k * k))),
-    ]
     wit = best_gamma_witness(x, k)
-    lowers.append((f"witness_{wit.method}", wit.bound))
 
     cutoff = SPECTRAL_CUTOFF_RTOL * float(s[0])
     mixture = 0.0
@@ -338,14 +336,7 @@ def gamma_bounds(
         if s[i] <= cutoff:
             break
         mixture += float(s[i]) * _vec_dual(u[:, i], m, n, k) * _vec_dual(vh[i, :].conj(), m, n, k)
-    uppers = [("svd_mixture", mixture)]
-    if oracle_budget is not None:
-        o_upper, _ = decomposition_oracle(x, k, budget=oracle_budget, seed=seed)
-        uppers.append(("oracle", o_upper))
-
-    lo_tag, lo = max(lowers, key=lambda t: t[1])
-    hi_tag, hi = min(uppers, key=lambda t: t[1])
-    return _finish_interval(lo, hi, lo_tag, hi_tag, wit)
+    return _finish_interval(wit.bound, mixture, wit.method, "svd_mixture", wit)
 
 
 def decomposition_oracle(
@@ -437,22 +428,17 @@ def decomposition_oracle(
     return upper, dec
 
 
-def robustness_bounds(
-    y: BipartiteOperator,
-    k: int,
-    sn_at_most_k: bool = False,
-) -> NormInterval:
+def robustness_bounds(y: BipartiteOperator, k: int) -> NormInterval:
     """Certified bracket for the robustness R_k of a hermitian operator.
 
     The lower endpoint is the gamma_k lower bound (R_k >= gamma_k: every
-    admissible splitting is in particular a decomposition); its
-    eigenprojector witnesses serve as robustness witnesses too, since
-    radius and S(k) norm agree on PSD operators.  No search is involved.
+    admissible splitting is in particular a decomposition), and the
+    certificate is the gamma witness W behind it.  W is a robustness
+    witness as well: |<W, c1 rho1 - c2 rho2>| <= (c1 + c2) |W|_S(k) for
+    Schmidt-number-<=k densities rho1, rho2.  No search is involved.
     The upper bound splits the eigendecomposition eigenvector by
     eigenvector with the proven k = 1 pure formula
-    R_1(|u><u|) = 2 gamma_1(u) - 1, admissible for every k.  Pass
-    sn_at_most_k=True when the input is a density matrix already known to
-    have Schmidt number <= k; that caps the upper bound at the exact 1.
+    R_1(|u><u|) = 2 gamma_1(u) - 1, admissible for every k.
     """
     if not y.hermitian:
         raise PreconditionError("robustness_bounds requires a hermitian operator")
@@ -463,7 +449,7 @@ def robustness_bounds(
     if gb.exact and k == min(m, n):
         # R_min equals the trace norm as well: splitting the eigenvalues by
         # sign is admissible at full k and matches the gamma lower bound.
-        return NormInterval(gb.lower, gb.upper, "gamma_exact", "sign_split", True)
+        return NormInterval(gb.lower, gb.upper, "gamma_exact", "sign_split", True, gb.certificate)
 
     lam, vecs = eig_hermitian(y.mat)
     upper = 0.0
@@ -473,12 +459,9 @@ def robustness_bounds(
             continue
         ui = pure_state(vecs[:, i], m, n, require_normalized=False)
         upper += float(abs(lam[i])) * (2.0 * gamma_pure(ui, 1) - 1.0)
-    hi_tag = "pure_split_k1"
-    if sn_at_most_k:
-        if upper > 1.0:
-            upper = 1.0
-            hi_tag = "sn_assumption"
-    return _finish_interval(gb.lower, upper, f"gamma_{gb.lower_method}", hi_tag)
+    return _finish_interval(
+        gb.lower, upper, f"gamma_{gb.lower_method}", "pure_split_k1", gb.certificate
+    )
 
 
 def robustness_to_entanglement(r: NormInterval) -> NormInterval:
@@ -539,7 +522,8 @@ class SnCertification:
 
     verdict is one of at_most_k, exceeds_k, undecided.  The evidence is the
     gamma bracket plus, depending on the verdict, the witness whose bound
-    pushed gamma above 1 or the decomposition certifying gamma <= 1."""
+    is the gamma lower endpoint above 1 (always present on exceeds_k) or
+    the decomposition certifying gamma <= 1."""
 
     verdict: str
     k: int
@@ -572,13 +556,15 @@ def sn_certify(
 ) -> SnCertification:
     """Three-way Schmidt-number certificate via gamma_k(rho) vs 1.
 
-    A density matrix has SN <= k exactly when gamma_k = 1.  Any certified
-    lower bound above 1 + tol proves SN > k; any decomposition with
-    certified value at most 1 + tol proves SN <= k.  Decompositions are
-    tried in order: a caller-supplied candidate (e.g. the known generators
-    of a constructed mixture), the constructive Schmidt-chunk split, then
-    the LP oracle (seeded by seed) when a budget is given.  Anything else
-    is undecided.
+    A density matrix has SN <= k exactly when gamma_k = 1.  A gamma lower
+    endpoint above 1 + tol proves SN > k, and its certificate is the
+    witness.  Any decomposition with certified value at most 1 + tol
+    proves SN <= k.  Decompositions are tried in order: a caller-supplied
+    candidate (e.g. the known generators of a constructed mixture), the
+    constructive Schmidt-chunk split, then the LP oracle (seeded by seed)
+    when a budget is given.  The chunk split is skipped when the gamma
+    upper endpoint exceeds 1 + tol: that endpoint is at most the chunk
+    weight, so the split could not pass.  Anything else is undecided.
     """
     _require_density(rho, "sn_certify")
     m, n = rho.dims
@@ -586,25 +572,22 @@ def sn_certify(
 
     gb = gamma_bounds(rho, k)
     if gb.lower > 1.0 + tol:
-        wit = gb.certificate if gb.certificate.bound > 1.0 + tol else None
-        return SnCertification("exceeds_k", k, gb, wit, None)
+        return SnCertification("exceeds_k", k, gb, gb.certificate, None)
 
-    def check(dec: Decomposition) -> float | None:
+    def certifies(dec: Decomposition) -> bool:
         if dec.dims != rho.dims or dec.k > k:
             raise ParameterError("candidate decomposition does not match the query")
         if not _generators_admissible(dec, tol):
             raise ParameterError("candidate decomposition has inadmissible generators")
-        value = certified_upper_from_decomposition(rho, dec)
-        return value if value <= 1.0 + tol else None
+        return certified_upper_from_decomposition(rho, dec) <= 1.0 + tol
 
-    if candidate is not None:
-        value = check(candidate)
-        if value is not None:
-            return SnCertification("at_most_k", k, gb, None, candidate)
+    if candidate is not None and certifies(candidate):
+        return SnCertification("at_most_k", k, gb, None, candidate)
 
-    chunk = decomposition_from_mixture(rho, k)
-    if check(chunk) is not None:
-        return SnCertification("at_most_k", k, gb, None, chunk)
+    if gb.upper <= 1.0 + tol:
+        chunk = decomposition_from_mixture(rho, k)
+        if certifies(chunk):
+            return SnCertification("at_most_k", k, gb, None, chunk)
 
     if budget is not None:
         upper, dec = decomposition_oracle(rho, k, budget=budget, seed=seed)

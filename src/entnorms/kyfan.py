@@ -32,8 +32,8 @@ from .linalg import _as_complex_matrix, svd
 # Singular values this far below the largest are treated as exact zeros
 # before the break-index predicate is evaluated.
 CLAMP_RTOL = 1e-14
-# Near-ties in the strict predicate fall to the smaller r; the dual value is
-# continuous across the tie, so only the reported index is affected.
+# Near-ties within this fraction of the largest singular value fall to the
+# smaller r; the dual value is continuous across them, so only r is affected.
 TIE_GUARD = 1e-12
 
 
@@ -72,7 +72,7 @@ def break_index(sigma, k: int) -> BreakIndexResult:
     for every larger candidate.
     """
     arr = _clean_profile(sigma, k)
-    guard = TIE_GUARD * max(1.0, float(arr[0]))
+    guard = TIE_GUARD * float(arr[0])
     total = float(np.sum(arr))
 
     def tail(r: int) -> float:
@@ -88,11 +88,15 @@ def break_index(sigma, k: int) -> BreakIndexResult:
 
 
 def k2_dual_from_singular_values(sigma, k: int) -> float:
-    """Dual norm value from a descending singular value profile."""
+    """Dual norm value from a descending singular value profile, computed on
+    the profile scaled by a power of two into [1/2, 1): no square overflows
+    or underflows, and the exact scaling keeps the unscaled formula's value."""
     arr = _clean_profile(sigma, k)
-    bi = break_index(arr, k)
-    head = float(np.sum(arr[: bi.r] ** 2))
-    return math.sqrt(head + (k - bi.r) * bi.sigma_tilde**2)
+    exp = math.frexp(float(arr[0]))[1]
+    unit = np.ldexp(arr, -exp)
+    bi = break_index(unit, k)
+    head = float(np.sum(unit[: bi.r] ** 2))
+    return math.ldexp(math.sqrt(head + (k - bi.r) * bi.sigma_tilde**2), exp)
 
 
 def _check_k(dim_a: int, dim_b: int, k: int) -> None:

@@ -200,7 +200,7 @@ def test_c06_decomposition_oracle_certifies_from_above():
         (generate(EnsembleSpec("ginibre_density", 2, 3, seed=8)), 2),
     ]
     for i, (x, k) in enumerate(suite):
-        lower = gamma_bounds(x, k, seed=0).lower
+        lower = gamma_bounds(x, k).lower
         up, _ = decomposition_oracle(x, k, budget=2000, seed=0)
         if up < lower - 1e-9:
             problems.append(f"suite input {i}: oracle {up:.9f} below lower {lower:.9f}")

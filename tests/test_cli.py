@@ -163,8 +163,7 @@ def test_probe_conjecture_smoke(tmp_path, capsys):
     path = str(tmp_path / "h.json")
     run_json(["gen", "--kind", "haar_pure", "--m", "3", "--n", "3",
               "--seed", "17", "--out", path], capsys)
-    report = run_json(["probe-conjecture", "--k", "2", "--restarts", "16", path],
-                      capsys)
+    report = run_json(["probe-conjecture", "--k", "2", path], capsys)
     res = report["result"]
     assert res["inside"] and res["in_open_regime"]
     assert res["gap"] == 0.0
@@ -291,11 +290,35 @@ def test_text_format(tmp_path, capsys):
     assert "  detected: True" in out
 
 
-def test_overflow_exits_two(tmp_path, capsys):
+def test_gamma_at_huge_scale_scales_the_bracket(tmp_path, capsys):
     rho = generate(EnsembleSpec("ginibre_density", 3, 3, seed=0))
-    path = str(tmp_path / "huge.json")
-    save_operator(path, bipartite(rho.mat * 1e200, 3, 3))
+    unit, huge = str(tmp_path / "unit.json"), str(tmp_path / "huge.json")
+    save_operator(unit, rho)
+    save_operator(huge, bipartite(rho.mat * 1e200, 3, 3))
+    base = run_json(["norm", "--which", "gamma", "--k", "1", unit], capsys)["result"]
+    res = run_json(["norm", "--which", "gamma", "--k", "1", huge], capsys)["result"]
+    for end in ("lower", "upper"):
+        assert abs(res[end] - 1e200 * base[end]) <= 1e-12 * 1e200 * base[end]
+
+
+def test_overflow_exits_two(tmp_path, capsys, monkeypatch):
+    def overflow(*args, **kwargs):
+        raise OverflowError("(34, 'Numerical result out of range')")
+
+    monkeypatch.setattr("entnorms.dualnorms.gamma_bounds", overflow)
+    path = bell_file(tmp_path, capsys)
     assert run(["norm", "--which", "gamma", "--k", "1", path]) == 2
     err = capsys.readouterr().err
     assert "numerical failure" in err
     assert "Traceback" not in err
+
+
+def test_witness_and_probe_take_no_unread_flags(tmp_path, capsys):
+    path = bell_file(tmp_path, capsys)
+    report = run_json(["witness", "--k", "1", path], capsys)
+    assert report["tolerances"] == {} and report["seed"] is None
+    assert run(["witness", "--k", "1", "--tol", "5", path]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    for flag in ("--restarts", "--max-iter", "--seed"):
+        assert run(["probe-conjecture", "--k", "1", flag, "3", path]) == 1
+        capsys.readouterr()

@@ -3,7 +3,9 @@ import pytest
 
 import entnorms.dualnorms as dualnorms
 import entnorms.sknorm as sknorm
+from entnorms.criteria import realignment_value
 from entnorms.dualnorms import (
+    DEFAULT_CERTIFY_TOL,
     Decomposition,
     Witness,
     build_decomposition,
@@ -106,7 +108,7 @@ def test_gamma_bounds_exact_paths():
 
 def test_gamma_bounds_on_bounded_mixture():
     rho = generate(EnsembleSpec("sn_bounded_density", 3, 3, k=1, terms=6, seed=9))
-    iv = gamma_bounds(rho, 1, seed=0)
+    iv = gamma_bounds(rho, 1)
     assert iv.lower >= 1.0 - 1e-9
     assert iv.lower <= 1.0 + 1e-9
     assert iv.upper >= iv.lower
@@ -260,11 +262,9 @@ def test_robustness_brackets():
 
 def test_robustness_separable_cap():
     rho = generate(EnsembleSpec("sn_bounded_density", 3, 3, k=1, terms=6, seed=2))
-    iv = robustness_bounds(rho, 1, sn_at_most_k=True)
-    assert iv.upper == 1.0
+    iv = robustness_bounds(rho, 1)
     assert iv.lower >= 1.0 - 1e-9
     e = robustness_to_entanglement(iv)
-    assert e.upper == 0.0
     assert e.lower >= -1e-9
 
 
@@ -384,4 +384,62 @@ def test_gamma_certificate_on_pure_projectors():
             assert abs(wit.bound - iv.lower) <= 1e-12 * iv.lower
         iv = gamma_bounds(x, min(m, n))
         assert iv.certificate.method == "sign_unitary"
+        assert iv.certificate.bound == iv.lower
+
+
+def test_eigenprojector_witness_is_not_dominated():
+    """At k = 5 on a 6x6 split a noisy projector's leading eigenprojector
+    beats both the sign unitary (trace norm 1) and the realignment witness
+    (1.0225).  At k = 1 the realignment witness provably dominates, since
+    |L(|u><u|)|_op = sigma_1^2 = sk_pure(u, 1)."""
+    sigma = np.array([0.84194704] + [0.24129864] * 5)
+    u = np.zeros(36)
+    u[::7] = sigma / np.linalg.norm(sigma)
+    proj = np.outer(u, u)
+    rho = bipartite(0.99 * proj + 0.01 * (np.eye(36) - proj) / 35, 6, 6)
+    iv = gamma_bounds(rho, 5)
+    assert iv.lower_method == "eigenprojector"
+    assert iv.lower > realignment_value(rho, 5) + 0.02
+
+
+def test_sn_certify_exceeds_carries_the_realignment_witness():
+    rho = generate(EnsembleSpec("ginibre_density", 2, 2, rank=2, seed=20130413))
+    cert = sn_certify(rho, 1)
+    assert cert.verdict == "exceeds_k"
+    assert cert.gamma.lower_method == "realigned_dual"
+    assert cert.witness is cert.gamma.certificate
+    assert cert.witness.bound > 1.0 + DEFAULT_CERTIFY_TOL
+
+
+def test_sn_certify_skips_the_futile_chunk_split(monkeypatch):
+    calls = []
+    build = dualnorms.decomposition_from_mixture
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(dualnorms, "decomposition_from_mixture", counted)
+    rho = generate(EnsembleSpec("ginibre_density", 3, 3, seed=0))
+    cert = sn_certify(rho, 2)
+    assert cert.verdict == "undecided"
+    assert cert.gamma.upper > 1.0 + DEFAULT_CERTIFY_TOL
+    assert calls == []
+    # where the gamma upper endpoint allows it, the split still runs
+    v = generate(EnsembleSpec("sr_bounded_pure", 3, 3, k=2, seed=11))
+    assert sn_certify(projector(v), 2).verdict == "at_most_k"
+    assert len(calls) == 1
+
+
+def test_robustness_brackets_carry_the_gamma_witness():
+    rng = np.random.default_rng(40)
+    g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    cases = [
+        (projector(max_entangled(2)), 1),
+        (bipartite(g + g.conj().T, 3, 3, symmetrize=True), 3),
+        (generate(EnsembleSpec("ginibre_density", 3, 3, seed=0)), 1),
+    ]
+    for y, k in cases:
+        iv = robustness_bounds(y, k)
+        assert iv.certificate.method == gamma_bounds(y, k).certificate.method
         assert iv.certificate.bound == iv.lower

@@ -5,7 +5,8 @@ full rank or rank one, at scales 1e-3 to 1e3 and every k <= min(dims).
 The chain |x|_S(k) <= |x|_op <= |x|_1 <= gamma_k holds for every such
 operator, and the sign unitary of x already attains |x|_1, so no
 Schmidt-rank-<=k ket-bra (whose pairing is at most |x|_op) can improve
-on the witness that best_gamma_witness returns.
+on the witness that best_gamma_witness returns.  The lower endpoint of
+every gamma bracket is the bound of the witness it carries.
 """
 
 import numpy as np
@@ -59,3 +60,11 @@ def test_best_witness_reaches_the_trace_norm(case):
     x = bipartite(mat, m, n)
     trace_norm = float(np.sum(np.linalg.svd(mat, compute_uv=False)))
     assert best_gamma_witness(x, k).bound >= (1 - REL) * trace_norm
+
+
+@settings(max_examples=150, deadline=None)
+@given(operator_cases())
+def test_certificate_attains_the_lower_endpoint(case):
+    mat, m, n, k = case
+    iv = gamma_bounds(bipartite(mat, m, n), k)
+    assert iv.lower <= iv.certificate.bound <= iv.lower * (1 + 1e-9)

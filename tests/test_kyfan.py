@@ -146,3 +146,19 @@ def test_k2_dual_attainer_has_unit_norm_and_attains_the_dual():
         k2_dual_attainer(np.zeros((2, 2)), 1)
     with pytest.raises(ParameterError):
         k2_dual_attainer(np.eye(3), 4)
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-12, 1e200])
+def test_break_index_dual_and_attainer_are_scale_invariant(c):
+    rng = np.random.default_rng(12)
+    mats = [np.diag([3.0, 1.0, 0.5, 0.2]).astype(complex)]
+    mats += [rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5)) for _ in range(3)]
+    for x in mats:
+        s = np.linalg.svd(x, compute_uv=False)
+        for k in (1, 2, 3, 4):
+            assert break_index(c * s, k).r == break_index(s, k).r
+            val = k2_dual(x, k)
+            assert abs(k2_dual(c * x, k) - c * val) <= 1e-12 * c * val
+            y, _ = k2_dual_attainer(x, k)
+            yc, _ = k2_dual_attainer(c * x, k)
+            assert np.max(np.abs(yc - y)) <= 1e-12
