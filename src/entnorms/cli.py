@@ -17,6 +17,9 @@ rendering of the same data and is not a stable interface.
 Exit codes: 0 success; 1 input or parameter errors (including usage); 2
 numerical failures (svd/eig non-convergence, LP failure, overflow); 3 an
 undecided verdict when --require-decision was set.
+
+Only oracle solves a linear program, so only oracle loads scipy; every
+other command starts with numpy alone.
 """
 
 from __future__ import annotations

@@ -14,7 +14,9 @@ operators and at k = min(dims), and otherwise bracketed:
                  hermitian x, its eigenprojectors; no search is needed;
   upper bounds   explicit decompositions: singular triples split with the
                  rank-one closed form, and a sampled linear program over
-                 Schmidt-truncated generators.
+                 Schmidt-truncated generators, the one place scipy is
+                 used (HiGHS through `linprog`, imported on the first
+                 solve).
 
 The realignment witness is W = L^-1(Y) for the unit-(k^2,2)-norm matrix Y
 attaining k2_dual(L(x), k^2); as L permutes entries, <W, x> = <Y, L(x)>.
@@ -32,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import kyfan
 from .errors import InfeasibleError, ParameterError, PreconditionError
@@ -50,6 +51,21 @@ _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
+
+
+def linprog(c: np.ndarray, A_eq: np.ndarray, b_eq: np.ndarray):
+    """Solve min c.x s.t. A_eq x = b_eq, x >= 0 with HiGHS; returns scipy's
+    OptimizeResult.
+
+    scipy.optimize is imported on the first call, not with this module:
+    only the LP oracle solves a program, and loading the solver takes most
+    of the time of a cold `import entnorms`.
+    """
+    import scipy.optimize
+
+    return scipy.optimize.linprog(
+        c, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs", options=dict(_LP_OPTIONS)
+    )
 
 
 @dataclass(frozen=True)
@@ -386,14 +402,7 @@ def decomposition_oracle(
         atoms = np.einsum("ni,nj->nij", le, ri.conj()).reshape(le.shape[0], d * d)
         a_eq = np.vstack([atoms.real.T, atoms.imag.T])
         b_eq = np.concatenate([target.real, target.imag])
-        return linprog(
-            c=np.ones(le.shape[0]),
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=(0, None),
-            method="highs",
-            options=dict(_LP_OPTIONS),
-        )
+        return linprog(np.ones(le.shape[0]), a_eq, b_eq)
 
     res = solve(lefts, rights)
     if res.status != 0 or res.x is None:

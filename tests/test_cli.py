@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -322,3 +326,50 @@ def test_witness_and_probe_take_no_unread_flags(tmp_path, capsys):
     for flag in ("--restarts", "--max-iter", "--seed"):
         assert run(["probe-conjecture", "--k", "1", flag, "3", path]) == 1
         capsys.readouterr()
+
+
+def test_oracle_lp_failure_exits_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("entnorms.dualnorms.linprog",
+                        lambda c, A_eq, b_eq: SimpleNamespace(status=2, x=None))
+    path = str(tmp_path / "rho.json")
+    save_operator(path, generate(EnsembleSpec("ginibre_density", 2, 2, seed=0)))
+    assert run(["oracle", "--k", "1", "--budget", "32", path]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "failed twice" in err
+    assert "Traceback" not in err
+
+
+# Runs in a fresh interpreter: commands without an LP must not load scipy.
+_COLD_START = """
+import json, sys
+import entnorms
+import entnorms.cli as cli
+
+density, operator = sys.argv[1:3]
+codes = [
+    cli.run(["norm", "--which", "gamma", "--k", "1", "--out", "gamma.json", density]),
+    cli.run(["detect", "--k", "1", "--filter", "--out", "detect.json", density]),
+    cli.run(["blockpos", "--k", "1", "--out", "blockpos.json", operator]),
+]
+cold = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+codes.append(cli.run(["oracle", "--k", "1", "--budget", "32", "--out", "oracle.json", density]))
+print(json.dumps({"codes": codes, "cold": cold,
+                  "optimize": "scipy.optimize" in sys.modules}))
+"""
+
+
+def test_cold_start_loads_the_solver_only_for_the_oracle(tmp_path):
+    density, operator = str(tmp_path / "rho.json"), str(tmp_path / "swap.json")
+    save_operator(density, generate(EnsembleSpec("ginibre_density", 2, 2, seed=0)))
+    save_operator(operator, swap_operator(2))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, density, operator],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    state = json.loads(proc.stdout)
+    assert state["codes"] == [0, 0, 0, 0]
+    assert state["cold"] == []
+    assert state["optimize"]

@@ -1,3 +1,6 @@
+import inspect
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,7 @@ from entnorms.dualnorms import (
     robustness_to_entanglement,
     sn_certify,
 )
-from entnorms.errors import ParameterError, PreconditionError
+from entnorms.errors import InfeasibleError, ParameterError, PreconditionError
 from entnorms.linalg import bipartite
 from entnorms.schmidt import pure_state, s_k_dual, schmidt_decompose
 from entnorms.sknorm import NormInterval, sk_elementary, sk_pure
@@ -148,6 +151,41 @@ def test_oracle_parameter_errors():
         decomposition_oracle(bipartite(np.zeros((4, 4)), 2, 2), 1, budget=600)
     with pytest.raises(ParameterError):
         decomposition_oracle(x, 1, budget=600, seed=-3)
+
+
+def failed_solve():
+    return SimpleNamespace(status=2, x=None)
+
+
+def test_oracle_retries_with_unit_columns_after_a_failed_solve(monkeypatch):
+    shapes = []
+    solver = dualnorms.linprog
+
+    def fail_once(c, A_eq, b_eq):
+        shapes.append(A_eq.shape)
+        if len(shapes) == 1:
+            return failed_solve()
+        return solver(c, A_eq, b_eq)
+
+    monkeypatch.setattr(dualnorms, "linprog", fail_once)
+    rho = generate(EnsembleSpec("ginibre_density", 2, 2, seed=0))
+    upper, dec = decomposition_oracle(rho, 1, budget=32, seed=0)
+    # the retry appends the d^2 = 16 phased matrix units to the 32-column pool
+    assert shapes == [(32, 32), (32, 48)]
+    assert upper >= np.linalg.norm(rho.mat, "nuc")
+    assert dec.residual < 1e-9
+
+
+def test_oracle_raises_when_both_solves_fail(monkeypatch):
+    monkeypatch.setattr(dualnorms, "linprog", lambda c, A_eq, b_eq: failed_solve())
+    rho = generate(EnsembleSpec("ginibre_density", 2, 2, seed=0))
+    with pytest.raises(InfeasibleError, match="failed twice"):
+        decomposition_oracle(rho, 1, budget=32, seed=0)
+
+
+def test_linprog_seam_keeps_its_a_eq_parameter():
+    # The traced benchmark reads the LP size off this argument by name.
+    assert "A_eq" in inspect.signature(dualnorms.linprog).parameters
 
 
 def test_decomposition_validation_and_reconstruct():
