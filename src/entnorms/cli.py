@@ -8,11 +8,11 @@ violations are surfaced as warnings in the report, never silently fixed
 
 Reports are JSON with a fixed key set: command, inputs (sha256 of the input
 file or of the parameter string), k, result, tolerances, seed,
-wall_time_ms, warnings.  witness and probe-conjecture take no --tol,
---restarts, --max-iter or --seed; their reports carry empty tolerances and
-a null seed.  With the same argv and seed the report is
-byte-identical apart from wall_time_ms.  The text format is a human
-rendering of the same data and is not a stable interface.
+wall_time_ms, warnings.  A command takes only the flags it reads, or for
+norm may read; any other is a usage error.  Without --seed the report's
+seed is null.  With the same argv and seed the report is byte-identical
+apart from wall_time_ms.  The text format is a human rendering of the
+same data and is not a stable interface.
 
 Exit codes: 0 success; 1 input or parameter errors (including usage); 2
 numerical failures (svd/eig non-convergence, LP failure, overflow); 3 an
@@ -197,7 +197,6 @@ def _cmd_schmidt(args):
 
 def _cmd_norm(args):
     value, warnings, digest = _load(args.file)
-    tol = args.tol if args.tol is not None else 1e-10
     kw = _seesaw_kwargs(args)
     which = args.which
 
@@ -210,16 +209,16 @@ def _cmd_norm(args):
         result = {"value": float(fn(mat, args.k)), "method": "closed_form"}
     elif which == "sk":
         x = _as_operator(value)
-        result = _interval_dict(sknorm.sk_bounds(x, args.k, tol=tol, **kw))
+        result = _interval_dict(sknorm.sk_bounds(x, args.k, **kw))
     elif which == "gamma":
         x = _as_operator(value)
         result = _interval_dict(dualnorms.gamma_bounds(x, args.k))
     elif which == "radius":
         x = _as_operator(value)
-        result = _interval_dict(sknorm.prod_radius_bounds(x, args.k, tol=tol, **kw))
+        result = _interval_dict(sknorm.prod_radius_bounds(x, args.k, **kw))
     else:
         raise ParameterError(f"unknown norm selector {which!r}")
-    return result, args.k, {"tol": tol}, warnings, digest, 0
+    return result, args.k, {}, warnings, digest, 0
 
 
 def _cmd_detect(args):
@@ -387,7 +386,7 @@ _HANDLERS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # witness and probe-conjecture read nothing but the report options.
+    # Each subcommand takes the report options plus only the groups it reads.
     report = _Parser(add_help=False)
     report.add_argument("--format", choices=("json", "text"), default="json",
                         help="report rendering (json is the stable interface)")
@@ -395,33 +394,34 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the report here instead of stdout (gen: the state file)")
     report.add_argument("--inject-svd-failure", action="store_true",
                         help="testing hook: force the next svd to fail")
-    common = _Parser(add_help=False, parents=[report])
-    common.add_argument("--tol", type=float, default=None,
-                        help="decision tolerance of the command (default per command)")
-    common.add_argument("--restarts", type=int, default=32, help="see-saw restarts")
-    common.add_argument("--max-iter", type=int, default=500, help="see-saw iteration cap")
-    common.add_argument("--seed", type=int, default=0, help="seed for all randomized steps")
+    tol = _Parser(add_help=False)
+    tol.add_argument("--tol", type=float, default=None, help="decision tolerance (default per command)")
+    seed = _Parser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="seed for all randomized steps")
+    seesaw = _Parser(add_help=False)
+    seesaw.add_argument("--restarts", type=int, default=32, help="see-saw restarts")
+    seesaw.add_argument("--max-iter", type=int, default=500, help="see-saw iteration cap")
 
     parser = _Parser(prog="entnorms",
                      description="Entanglement norms: bounds, certificates, detection")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("schmidt", parents=[common], help="Schmidt decomposition of a state vector")
+    p = sub.add_parser("schmidt", parents=[report, tol], help="Schmidt decomposition of a state vector")
     p.add_argument("file")
 
-    p = sub.add_parser("norm", parents=[common], help="norm values and certified brackets")
+    p = sub.add_parser("norm", parents=[report, seed, seesaw], help="norm values and certified brackets")
     p.add_argument("--which", required=True,
                    choices=("sk", "gamma", "radius", "k2", "k2dual", "sk-dual-vec"))
     p.add_argument("--k", type=int, required=True)
     p.add_argument("file")
 
-    p = sub.add_parser("detect", parents=[common], help="Schmidt-number detection criteria")
+    p = sub.add_parser("detect", parents=[report, tol], help="Schmidt-number detection criteria")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--filter", action="store_true", help="try a local filter first")
     p.add_argument("--weak", action="store_true", help="trace-norm variant instead")
     p.add_argument("file")
 
-    p = sub.add_parser("blockpos", parents=[common], help="k-block positivity check")
+    p = sub.add_parser("blockpos", parents=[report, tol, seed, seesaw], help="k-block positivity check")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--require-decision", action="store_true",
                    help="exit 3 when the verdict is undecided")
@@ -431,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("file")
 
-    p = sub.add_parser("oracle", parents=[common], help="LP decomposition upper bound on gamma_k")
+    p = sub.add_parser("oracle", parents=[report, seed], help="LP decomposition upper bound on gamma_k")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--budget", type=int, default=2000, help="generator pool size")
     p.add_argument("file")
@@ -441,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("file")
 
-    p = sub.add_parser("gen", parents=[common], help="generate a seeded test state")
+    p = sub.add_parser("gen", parents=[report, seed], help="generate a seeded test state")
     p.add_argument("--kind", required=True, choices=states.KINDS)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -450,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms", type=int, default=None)
     p.add_argument("--rank", type=int, default=None)
 
-    p = sub.add_parser("invariance", parents=[common],
+    p = sub.add_parser("invariance", parents=[report, seed],
                        help="run the isometry-invariance property suite")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, default=3)

@@ -214,17 +214,13 @@ def _pinv_sqrt(spectrum: tuple[np.ndarray, np.ndarray, int]) -> np.ndarray:
     return (vecs * inv) @ vecs.conj().T
 
 
-def local_filter(
-    rho: BipartiteOperator,
-    tol: float = FILTER_TOL,
-    max_iter: int = FILTER_MAX_ITER,
-) -> FilterResult:
+def local_filter(rho: BipartiteOperator, max_iter: int = FILTER_MAX_ITER) -> FilterResult:
     """Alternating marginal whitening toward the filter normal form.
 
     Each round applies the pseudo-inverse square root of one marginal on
     its support (a local, invertible-on-support map, so the Schmidt number
     cannot increase), renormalizes the trace, and alternates sides.  Stops
-    when both marginals are within tol (Frobenius) of maximally mixed on
+    when both marginals are within FILTER_TOL (Frobenius) of maximally mixed on
     their supports, or after max_iter rounds with converged=False.  On a
     pure state one round flattens the Schmidt coefficients exactly.
     """
@@ -241,7 +237,8 @@ def local_filter(
     for iterations in range(max_iter + 1):
         bp = bipartite(work, m, n, symmetrize=True)
         spec_a = _support_spectrum(partial_trace(bp, "B"))
-        if _flatness(spec_a) <= tol and _flatness(_support_spectrum(partial_trace(bp, "A"))) <= tol:
+        flat_a = _flatness(spec_a) <= FILTER_TOL
+        if flat_a and _flatness(_support_spectrum(partial_trace(bp, "A"))) <= FILTER_TOL:
             return FilterResult(bp, f_a, f_b, True, iterations)
         if iterations == max_iter:
             return FilterResult(bp, f_a, f_b, False, iterations)

@@ -273,8 +273,11 @@ def _sign_unitary_witness(
 def best_gamma_witness(x: BipartiteOperator, k: int) -> Witness:
     """Strongest available duality witness for a lower bound on gamma_k(x).
 
-    Candidates, in this order (ties go to the earlier one): the sign
-    unitary of x's SVD (operator norm 1, pairing the trace norm), the
+    Where gamma_k has a closed form the witness attains it: the sign
+    unitary of x's SVD at k = min(dims), and on rank-one x = s u w^dag the
+    ket-bra of the vectors attaining the dual values of u and w (dual_ketbra).
+    Otherwise the candidates, in this order (ties go to the earlier one),
+    are the sign unitary (operator norm 1, pairing the trace norm), the
     realignment witness of the module docstring (S(k) norm at most 1,
     pairing the realigned dual value) and, for hermitian x, each
     eigenprojector normalized by its exact S(k) value.  No ket-bra |v><w|
@@ -286,6 +289,14 @@ def best_gamma_witness(x: BipartiteOperator, k: int) -> Witness:
     u, s, vh = svd(x.mat)
     if s[0] <= 0.0:
         raise ParameterError("the zero operator admits no witness")
+    if k == min(m, n):
+        return _sign_unitary_witness(u, s, vh, m, n, k)
+    if s.size == 1 or s[1] <= SPECTRAL_CUTOFF_RTOL * s[0]:
+        a, _ = kyfan.k2_dual_attainer(u[:, 0].reshape(m, n), k)
+        b, _ = kyfan.k2_dual_attainer(vh[0, :].conj().reshape(m, n), k)
+        ketbra = np.outer(a.reshape(-1), b.reshape(-1).conj())
+        pairing = float(abs(np.vdot(ketbra, x.mat)))
+        return Witness(bipartite(ketbra, m, n), 1.0, pairing, k, "dual_ketbra")
 
     y, realigned = kyfan.k2_dual_attainer(realign(x), k * k)
     candidates = [
@@ -318,34 +329,25 @@ def best_gamma_witness(x: BipartiteOperator, k: int) -> Witness:
 def gamma_bounds(x: BipartiteOperator, k: int) -> NormInterval:
     """Certified bracket for gamma_k(x).
 
-    Exact on rank-one inputs (the closed-form dual product) and at
-    k = min(dims) (the trace norm).  Otherwise the lower endpoint is the
-    bound of best_gamma_witness and the upper endpoint the weight of the
-    Schmidt-chunked singular triples, tagged svd_mixture; the sampled LP
-    oracle is the separate decomposition_oracle.  The certificate is the
-    Witness whose bound is the lower endpoint: the dual-attaining ket-bra
-    on rank-one inputs, the sign unitary at k = min(dims), else the winner
-    of best_gamma_witness, whose method is the lower tag.
+    The certificate is best_gamma_witness and the lower endpoint its
+    bound.  That witness attains gamma_k at k = min(dims) (the trace norm)
+    and on rank-one inputs (its dual_ketbra closed form), where the
+    bracket is exact.  Otherwise the upper endpoint is the weight of the
+    Schmidt-chunked singular triples, tagged svd_mixture, and the lower tag
+    is the witness's method; the sampled LP oracle is the separate
+    decomposition_oracle.
     """
     m, n = x.dims
     _check_k(m, n, k)
-    u, s, vh = svd(x.mat)
-
-    if s[0] <= 0.0:
+    if float(np.max(np.abs(x.mat))) == 0.0:
         return _exact_interval(0.0, "zero_operator")
+    wit = best_gamma_witness(x, k)
     if k == min(m, n):
-        wit = _sign_unitary_witness(u, s, vh, m, n, k)
         return _exact_interval(wit.bound, "trace_norm_exact", wit)
-    if s.size == 1 or s[1] <= SPECTRAL_CUTOFF_RTOL * s[0]:
-        a, _ = kyfan.k2_dual_attainer(u[:, 0].reshape(m, n), k)
-        b, _ = kyfan.k2_dual_attainer(vh[0, :].conj().reshape(m, n), k)
-        ketbra = np.outer(a.reshape(-1), b.reshape(-1).conj())
-        pairing = float(abs(np.vdot(ketbra, x.mat)))
-        wit = Witness(bipartite(ketbra, m, n), 1.0, pairing, k, "dual_ketbra")
+    if wit.method == "dual_ketbra":
         return _exact_interval(wit.bound, "rank_one_exact", wit)
 
-    wit = best_gamma_witness(x, k)
-
+    u, s, vh = svd(x.mat)
     cutoff = SPECTRAL_CUTOFF_RTOL * float(s[0])
     mixture = 0.0
     for i in range(s.size):
@@ -504,11 +506,15 @@ class ConjectureProbe:
 def conjecture_probe(v: PureState, k: int) -> ConjectureProbe:
     """Probe whether 2 gamma_k(v) - 1 falls inside the robustness bracket.
 
+    v must be a unit vector within 1e-9 (PreconditionError otherwise).
     k = 1 and k = min(dims) sit outside the open regime (the equality is a
     theorem there) but are accepted for calibrating the bracket itself.
     """
     m, n = v.dims
     _check_k(m, n, k)
+    nrm = v.norm()
+    if abs(nrm - 1.0) > 1e-9:
+        raise PreconditionError(f"conjecture_probe needs a unit vector, norm is {nrm}")
     candidate = 2.0 * gamma_pure(v, k) - 1.0
     proj = np.outer(v.amplitudes, v.amplitudes.conj())
     interval = robustness_bounds(bipartite(proj, m, n, symmetrize=True), k)

@@ -44,11 +44,11 @@ def _as_complex_matrix(mat, what: str = "matrix") -> np.ndarray:
     return arr
 
 
-def is_hermitian(mat: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:
+def is_hermitian(mat: np.ndarray) -> bool:
     if mat.shape[0] != mat.shape[1] or mat.size == 0:
         return mat.size == 0
     scale = max(1.0, float(np.max(np.abs(mat))))
-    return float(np.max(np.abs(mat - mat.conj().T))) <= rtol * scale
+    return float(np.max(np.abs(mat - mat.conj().T))) <= HERMITIAN_RTOL * scale
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ produces certified two-sided bounds.  Lower bounds come from alternating
 maximization (see-saw): for fixed w the optimal v is the normalized
 Schmidt truncation of Xw, and symmetrically, so the objective never
 decreases.  Upper bounds come from the operator norm, with closed forms on
-rank-one inputs and at k = min(dims).
+rank-one inputs and at k = min(dims).  The see-saw stops at SEESAW_TOL.
 
 Block positivity and the radius both reduce to the S(k) norm of a shifted
 operator.  For hermitian z with c = lambda_max(z), cI - z is PSD, and on
@@ -37,6 +37,7 @@ from .schmidt import PureState, _truncate_raw, pure_state
 
 EXACTNESS_RTOL = 1e-9
 RANK_ONE_RTOL = 1e-12
+SEESAW_TOL = 1e-10
 
 
 def _is_exact(lower: float, upper: float) -> bool:
@@ -64,7 +65,7 @@ class NormInterval:
     def __post_init__(self):
         if not (np.isfinite(self.lower) and np.isfinite(self.upper)):
             raise ParameterError("interval endpoints must be finite")
-        if self.lower > self.upper + 1e-12 * max(1.0, abs(self.upper)):
+        if self.lower > self.upper + 1e-12 * max(abs(self.lower), abs(self.upper)):
             raise ParameterError(f"inconsistent interval [{self.lower}, {self.upper}]")
         if self.exact and not _is_exact(self.lower, self.upper):
             raise ParameterError("exact flag requires endpoints within 1e-9 relative")
@@ -81,10 +82,10 @@ def _exact_interval(value: float, method: str, certificate=None) -> NormInterval
 def _finish_interval(
     lower: float, upper: float, lo_tag: str, hi_tag: str, certificate=None
 ) -> NormInterval:
-    # A sound lower bound can poke above a sound upper bound only by fp
-    # noise; clamp that, but treat anything larger as a real bug.
+    # A sound lower bound can exceed a sound upper bound only by relative
+    # fp noise; clamp that, but treat anything larger as a real bug.
     if lower > upper:
-        if lower - upper > 1e-9 * max(1.0, abs(upper)):
+        if lower - upper > 1e-9 * max(abs(lower), abs(upper)):
             raise ParameterError(f"bound inconsistency: lower {lower} > upper {upper}")
         lower = upper
     return NormInterval(lower, upper, lo_tag, hi_tag, _is_exact(lower, upper), certificate)
@@ -135,7 +136,6 @@ def seesaw_lower(
     k: int,
     restarts: int = 32,
     max_iter: int = 500,
-    tol: float = 1e-10,
     seed: int = 0,
 ) -> SeeSawResult:
     """Certified lower bound on |x|_S(k) by alternating maximization.
@@ -143,8 +143,10 @@ def seesaw_lower(
     Each restart starts from an independent Schmidt-truncated Gaussian w and
     alternates v <- trunc_k(Xw), w <- trunc_k(X^dag v), both normalized; each
     half-step maximizes the objective exactly for the other side fixed, so
-    the trace is nondecreasing.  Restart r draws from a stream derived from
-    (seed, r), which makes the result independent of evaluation order.
+    the trace is nondecreasing.  A restart stops once a full step gains at
+    most SEESAW_TOL * max(1, objective), else after max_iter steps with
+    converged=False.  Restart r draws from a stream derived from (seed, r),
+    which makes the result independent of evaluation order.
     """
     m, n = x.dims
     _check_k(m, n, k)
@@ -179,7 +181,7 @@ def seesaw_lower(
                 break
             w = w_new
             trace.append(gain2)
-            if gain2 - prev <= tol * max(1.0, gain2):
+            if gain2 - prev <= SEESAW_TOL * max(1.0, gain2):
                 converged = True
                 break
             prev = gain2
@@ -218,7 +220,6 @@ def _sk_bounds_full(
     k: int,
     restarts: int,
     max_iter: int,
-    tol: float,
     seed: int,
     skip_seesaw_at: float | None = None,
 ) -> NormInterval:
@@ -260,7 +261,7 @@ def _sk_bounds_full(
     if skip_seesaw_at is not None and upper <= skip_seesaw_at:
         return NormInterval(0.0, upper, "trivial", "operator_norm", False)
 
-    ss = seesaw_lower(x, k, restarts=restarts, max_iter=max_iter, tol=tol, seed=seed)
+    ss = seesaw_lower(x, k, restarts=restarts, max_iter=max_iter, seed=seed)
     return _finish_interval(ss.value, upper, "seesaw", "operator_norm", ss)
 
 
@@ -269,7 +270,6 @@ def sk_bounds(
     k: int,
     restarts: int = 32,
     max_iter: int = 500,
-    tol: float = 1e-10,
     seed: int = 0,
 ) -> NormInterval:
     """Certified bracket for |x|_S(k).
@@ -279,7 +279,7 @@ def sk_bounds(
     against the operator-norm upper bound.  The certificate is the
     Schmidt-rank-<=k pair whose pairing |<v|x|w>| is the lower endpoint.
     """
-    return _sk_bounds_full(x, k, restarts, max_iter, tol, seed)
+    return _sk_bounds_full(x, k, restarts, max_iter, seed)
 
 
 def _shifted_sk(
@@ -289,7 +289,6 @@ def _shifted_sk(
     k: int,
     restarts: int,
     max_iter: int,
-    tol: float,
     seed: int,
     margin: float,
 ) -> tuple[float, NormInterval]:
@@ -304,7 +303,7 @@ def _shifted_sk(
     x_mat = c * np.eye(m * n, dtype=np.complex128) - sign * y.mat
     x_mat = (x_mat + x_mat.conj().T) / 2.0
     x = BipartiteOperator(x_mat, m, n, hermitian=True)
-    return c, _sk_bounds_full(x, k, restarts, max_iter, tol, seed, c + margin)
+    return c, _sk_bounds_full(x, k, restarts, max_iter, seed, c + margin)
 
 
 def prod_radius_bounds(
@@ -312,7 +311,6 @@ def prod_radius_bounds(
     k: int,
     restarts: int = 32,
     max_iter: int = 500,
-    tol: float = 1e-10,
     seed: int = 0,
 ) -> NormInterval:
     """Certified bracket for the Schmidt-restricted numerical radius of a
@@ -335,7 +333,7 @@ def prod_radius_bounds(
     lowers = [(float(np.max(np.abs(np.real(np.diag(y.mat))))), "product_basis")]
     uppers: list[tuple[float, str]] = []
     for sign in ((-1.0, 1.0) if lam[0] >= -lam[-1] else (1.0, -1.0)):
-        c, iv = _shifted_sk(y, lam, sign, k, restarts, max_iter, tol, seed, max(lowers)[0])
+        c, iv = _shifted_sk(y, lam, sign, k, restarts, max_iter, seed, max(lowers)[0])
         lowers.append((iv.lower - c, iv.lower_method))
         uppers.append((iv.upper - c, iv.upper_method))
     lower, lo_tag = max(lowers)
@@ -380,7 +378,7 @@ def block_positivity_check(
         raise PreconditionError("block_positivity_check requires a hermitian operator")
     lam, _ = eig_hermitian(y.mat)
     band = tol * max(1.0, abs(float(lam[0])), float(lam[0] - lam[-1]))
-    c, interval = _shifted_sk(y, lam, 1.0, k, restarts, max_iter, 1e-10, seed, band)
+    c, interval = _shifted_sk(y, lam, 1.0, k, restarts, max_iter, seed, band)
     if c >= interval.upper - band:
         return BlockPositivityResult("certified_positive", c, interval, None)
     if c < interval.lower - band:
@@ -392,17 +390,15 @@ def prod_radius_bisect(
     x: BipartiteOperator,
     k: int,
     depth: int = 30,
-    tol: float = 1e-9,
     restarts: int = 8,
-    max_iter: int = 500,
     seed: int = 0,
 ) -> NormInterval:
     """Bracket the restricted numerical radius: prod_radius_bounds with the
-    given restarts, max_iter and seed.
+    given restarts and seed.
 
     The radius is the least shift s making both sI + x and sI - x k-block
     positive, and the shifted-S(k) bracket answers that for every s at
-    once.  depth and tol are accepted for compatibility and do not affect
-    the result.
+    once, so no bisection runs.  depth is kept for existing callers (the
+    acceptance tests pass it) and is ignored.
     """
-    return prod_radius_bounds(x, k, restarts=restarts, max_iter=max_iter, seed=seed)
+    return prod_radius_bounds(x, k, restarts=restarts, seed=seed)

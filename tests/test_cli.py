@@ -10,6 +10,7 @@ import pytest
 
 from entnorms.cli import load_operator, run, save_operator
 from entnorms.linalg import bipartite, swap_operator
+from entnorms.schmidt import pure_state
 from entnorms.sknorm import sk_bounds
 from entnorms.states import EnsembleSpec, generate
 
@@ -317,15 +318,64 @@ def test_overflow_exits_two(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_witness_and_probe_take_no_unread_flags(tmp_path, capsys):
+# Flags each command does not read; argv holds the rest of a valid command
+# line.
+UNREAD_FLAGS = [
+    (["schmidt"], ("--restarts", "--max-iter", "--seed")),
+    (["detect", "--k", "1"], ("--restarts", "--max-iter", "--seed")),
+    (["norm", "--which", "sk", "--k", "1"], ("--tol",)),
+    (["oracle", "--k", "1"], ("--tol", "--restarts", "--max-iter")),
+    (["gen", "--kind", "haar_pure", "--m", "2", "--n", "2", "--out", "{out}"],
+     ("--tol", "--restarts", "--max-iter")),
+    (["invariance", "--k", "1"], ("--tol", "--restarts", "--max-iter")),
+    (["witness", "--k", "1"], ("--tol", "--restarts", "--max-iter", "--seed")),
+    (["probe-conjecture", "--k", "1"], ("--tol", "--restarts", "--max-iter", "--seed")),
+]
+
+
+def test_commands_reject_flags_they_do_not_read(tmp_path, capsys):
     path = bell_file(tmp_path, capsys)
-    report = run_json(["witness", "--k", "1", path], capsys)
-    assert report["tolerances"] == {} and report["seed"] is None
-    assert run(["witness", "--k", "1", "--tol", "5", path]) == 1
-    assert "unrecognized arguments" in capsys.readouterr().err
-    for flag in ("--restarts", "--max-iter", "--seed"):
-        assert run(["probe-conjecture", "--k", "1", flag, "3", path]) == 1
-        capsys.readouterr()
+    out = str(tmp_path / "gen.json")
+    for argv, flags in UNREAD_FLAGS:
+        argv = [a.format(out=out) for a in argv]
+        if argv[0] not in ("gen", "invariance"):
+            argv.append(path)
+        for flag in flags:
+            assert run(argv[:1] + [flag, "3"] + argv[1:]) == 1, (argv[0], flag)
+            assert "unrecognized arguments" in capsys.readouterr().err, (argv[0], flag)
+    assert not os.path.exists(out)
+
+
+def test_reports_declare_only_what_the_command_reads(tmp_path, capsys):
+    path = bell_file(tmp_path, capsys)
+    for argv in (["witness", "--k", "1"], ["probe-conjecture", "--k", "1"]):
+        report = run_json(argv + [path], capsys)
+        assert report["tolerances"] == {} and report["seed"] is None
+    report = run_json(["schmidt", path], capsys)
+    assert report["tolerances"] == {"rank_tol": 1e-10} and report["seed"] is None
+    report = run_json(["detect", "--k", "1", path], capsys)
+    assert report["tolerances"] == {"tol": 1e-9} and report["seed"] is None
+    for which in ("sk", "gamma", "radius"):
+        report = run_json(["norm", "--which", which, "--k", "1", "--seed", "4", path], capsys)
+        assert report["tolerances"] == {} and report["seed"] == 4
+
+
+def test_witness_attains_the_closed_form_gamma(tmp_path, capsys):
+    path = str(tmp_path / "h.json")
+    run_json(["gen", "--kind", "haar_pure", "--m", "3", "--n", "3",
+              "--seed", "0", "--out", path], capsys)
+    wit = run_json(["witness", "--k", "2", path], capsys)["result"]
+    gamma = run_json(["norm", "--which", "gamma", "--k", "2", path], capsys)["result"]
+    assert wit["method"] == "dual_ketbra"
+    assert gamma["exact"] and abs(wit["bound"] - gamma["lower"]) <= 1e-12 * gamma["lower"]
+
+
+def test_probe_conjecture_rejects_a_non_unit_state(tmp_path, capsys):
+    v = generate(EnsembleSpec("haar_pure", 3, 3, seed=0)).amplitudes
+    path = str(tmp_path / "v2.json")
+    save_operator(path, pure_state(2.0 * v, 3, 3, require_normalized=False))
+    assert run(["probe-conjecture", "--k", "1", path]) == 1
+    assert "unit vector" in capsys.readouterr().err
 
 
 def test_oracle_lp_failure_exits_two(tmp_path, capsys, monkeypatch):

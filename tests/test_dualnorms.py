@@ -11,6 +11,7 @@ from entnorms.dualnorms import (
     DEFAULT_CERTIFY_TOL,
     Decomposition,
     Witness,
+    best_gamma_witness,
     build_decomposition,
     certified_upper_from_decomposition,
     conjecture_probe,
@@ -326,6 +327,17 @@ def test_conjecture_probe_edges():
         conjecture_probe(v, 4)
 
 
+def test_conjecture_probe_requires_a_unit_vector():
+    # 2 gamma_k - 1 is a formula for unit vectors; at scale 2 it would
+    # report a false escape of gap 3 at k = 1, where equality is a theorem.
+    v = haar_state(np.random.default_rng(4), 3, 3)
+    for scale in (2.0, 0.5):
+        scaled = pure_state(scale * v.amplitudes, 3, 3, require_normalized=False)
+        for k in (1, 2):
+            with pytest.raises(PreconditionError):
+                conjecture_probe(scaled, k)
+
+
 def test_conjecture_probe_open_regime():
     rng = np.random.default_rng(17)
     for _ in range(3):
@@ -420,9 +432,11 @@ def test_gamma_certificate_on_pure_projectors():
             b = pure_state(np.sqrt(s[0]) * vh[0].conj(), m, n, require_normalized=False)
             assert sk_elementary(a, b, k) <= 1.0 + 1e-12
             assert abs(wit.bound - iv.lower) <= 1e-12 * iv.lower
+            assert abs(best_gamma_witness(x, k).bound - iv.lower) <= 1e-12 * iv.lower
         iv = gamma_bounds(x, min(m, n))
         assert iv.certificate.method == "sign_unitary"
         assert iv.certificate.bound == iv.lower
+        assert abs(best_gamma_witness(x, min(m, n)).bound - iv.lower) <= 1e-12 * iv.lower
 
 
 def test_eigenprojector_witness_is_not_dominated():

@@ -6,6 +6,7 @@ from entnorms.linalg import bipartite, swap_operator
 from entnorms.schmidt import pure_state, schmidt_rank
 from entnorms.sknorm import (
     NormInterval,
+    _finish_interval,
     block_positivity_check,
     prod_radius_bisect,
     prod_radius_bounds,
@@ -236,6 +237,16 @@ def test_interval_validation():
         NormInterval(0.0, 1.0, "a", "b", True)
     iv = NormInterval(1.0, 1.5, "lo", "hi", False)
     assert abs(iv.width - 0.5) < 1e-15
+
+
+def test_interval_guards_are_relative_below_unit_scale():
+    with pytest.raises(ParameterError):
+        NormInterval(2e-300, 1e-300, "a", "b", False)
+    # a 1e-7 relative inversion is no rounding noise, at any scale
+    with pytest.raises(ParameterError):
+        _finish_interval(1.0000001e-20, 1e-20, "a", "b")
+    iv = _finish_interval(1e-20 * (1 + 1e-15), 1e-20, "a", "b")
+    assert iv.lower == iv.upper == 1e-20 and iv.exact
 
 
 def test_budget_validation():
