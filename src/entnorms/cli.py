@@ -123,10 +123,10 @@ def _parse_operator_doc(doc, path: str) -> tuple[PureState | BipartiteOperator, 
         if not value.hermitian:
             warnings.append("density file is not hermitian within tolerance")
         else:
-            lam = np.linalg.eigvalsh(value.mat)
+            lam = value.eigh[0]
             scale = max(1.0, float(np.max(np.abs(lam))))
-            if float(lam[0]) < -1e-6 * scale:
-                warnings.append(f"density file is not PSD within 1e-6 (min eigenvalue {lam[0]:.3e})")
+            if float(lam[-1]) < -1e-6 * scale:
+                warnings.append(f"density file is not PSD within 1e-6 (min eigenvalue {lam[-1]:.3e})")
         tr = float(np.real(np.trace(mat)))
         if abs(tr - 1.0) > 1e-6:
             warnings.append(f"density file trace {tr:.9g} deviates from 1 beyond 1e-6")

@@ -140,8 +140,9 @@ def cross_norm_test(rho: BipartiteOperator, k: int, tol: float = DETECTION_TOL) 
 
     Density matrices of Schmidt number <= k have gamma_k exactly 1, so any
     certified lower bound above 1 detects SN > k.  Subsumes the realignment
-    value (it is one of the gamma lower bounds) at the cost of one svd and,
-    for hermitian input, one eigendecomposition; no search is involved.
+    value (it is one of the gamma lower bounds) at the cost of rho's svd and
+    eigendecomposition, each computed once and kept on rho; no search is
+    involved.
     """
     _require_density(rho, "cross_norm_test")
     gb = gamma_bounds(rho, k)

@@ -38,7 +38,7 @@ import numpy as np
 from . import kyfan
 from .errors import InfeasibleError, ParameterError, PreconditionError
 from .kyfan import _check_k
-from .linalg import BipartiteOperator, bipartite, eig_hermitian, realign, realign_inverse, svd
+from .linalg import BipartiteOperator, bipartite, realign, realign_inverse, svd
 from .schmidt import PureState, pure_state, schmidt_decompose
 from .sknorm import NormInterval, _exact_interval, _finish_interval, _random_sr_vec, sk_pure
 
@@ -172,7 +172,7 @@ def _svd_atoms(
     atoms alone are always a feasible decomposition.
     """
     m, n = x.dims
-    u, s, vh = svd(x.mat)
+    u, s, vh = x.svd
     lefts: list[np.ndarray] = []
     rights: list[np.ndarray] = []
     coeffs: list[float] = []
@@ -262,14 +262,6 @@ def _vec_dual(col: np.ndarray, m: int, n: int, k: int) -> float:
     return float(kyfan.k2_dual(col.reshape(m, n), k))
 
 
-def _sign_unitary_witness(
-    u: np.ndarray, s: np.ndarray, vh: np.ndarray, m: int, n: int, k: int
-) -> Witness:
-    """u vh from x = u diag(s) vh: operator norm 1, so S(k) norm at most 1,
-    and its pairing with x is the trace norm."""
-    return Witness(bipartite(u @ vh, m, n), 1.0, float(np.sum(s)), k, "sign_unitary")
-
-
 def best_gamma_witness(x: BipartiteOperator, k: int) -> Witness:
     """Strongest available duality witness for a lower bound on gamma_k(x).
 
@@ -286,26 +278,27 @@ def best_gamma_witness(x: BipartiteOperator, k: int) -> Witness:
     """
     m, n = x.dims
     _check_k(m, n, k)
-    u, s, vh = svd(x.mat)
+    u, s, vh = x.svd
     if s[0] <= 0.0:
         raise ParameterError("the zero operator admits no witness")
-    if k == min(m, n):
-        return _sign_unitary_witness(u, s, vh, m, n, k)
-    if s.size == 1 or s[1] <= SPECTRAL_CUTOFF_RTOL * s[0]:
+    if k < min(m, n) and (s.size == 1 or s[1] <= SPECTRAL_CUTOFF_RTOL * s[0]):
         a, _ = kyfan.k2_dual_attainer(u[:, 0].reshape(m, n), k)
         b, _ = kyfan.k2_dual_attainer(vh[0, :].conj().reshape(m, n), k)
         ketbra = np.outer(a.reshape(-1), b.reshape(-1).conj())
         pairing = float(abs(np.vdot(ketbra, x.mat)))
         return Witness(bipartite(ketbra, m, n), 1.0, pairing, k, "dual_ketbra")
+    sign_unitary = Witness(bipartite(u @ vh, m, n), 1.0, float(np.sum(s)), k, "sign_unitary")
+    if k == min(m, n):
+        return sign_unitary
 
     y, realigned = kyfan.k2_dual_attainer(realign(x), k * k)
     candidates = [
-        _sign_unitary_witness(u, s, vh, m, n, k),
+        sign_unitary,
         Witness(bipartite(realign_inverse(y, m, n), m, n), 1.0, realigned, k, "realigned_dual"),
     ]
 
     if x.hermitian:
-        lam, vecs = eig_hermitian(x.mat)
+        lam, vecs = x.eigh
         for i in range(lam.size):
             if abs(lam[i]) <= SPECTRAL_CUTOFF_RTOL * s[0]:
                 continue
@@ -347,7 +340,7 @@ def gamma_bounds(x: BipartiteOperator, k: int) -> NormInterval:
     if wit.method == "dual_ketbra":
         return _exact_interval(wit.bound, "rank_one_exact", wit)
 
-    u, s, vh = svd(x.mat)
+    u, s, vh = x.svd
     cutoff = SPECTRAL_CUTOFF_RTOL * float(s[0])
     mixture = 0.0
     for i in range(s.size):
@@ -462,7 +455,7 @@ def robustness_bounds(y: BipartiteOperator, k: int) -> NormInterval:
         # sign is admissible at full k and matches the gamma lower bound.
         return NormInterval(gb.lower, gb.upper, "gamma_exact", "sign_split", True, gb.certificate)
 
-    lam, vecs = eig_hermitian(y.mat)
+    lam, vecs = y.eigh
     upper = 0.0
     scale = float(np.max(np.abs(lam)))
     for i in range(lam.size):
@@ -552,7 +545,7 @@ def _require_density(rho: BipartiteOperator, what: str) -> None:
     DENSITY_TRACE_ATOL; PreconditionError otherwise."""
     if not rho.hermitian:
         raise PreconditionError(f"{what} requires a hermitian density matrix")
-    lam, _ = eig_hermitian(rho.mat)
+    lam, _ = rho.eigh
     scale = max(1.0, float(np.max(np.abs(lam))))
     if lam[-1] < -1e-9 * scale:
         raise PreconditionError(f"{what}: input is not PSD (min eigenvalue {lam[-1]:.3e})")

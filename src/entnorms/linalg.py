@@ -5,11 +5,15 @@ the product basis vector e_i (x) e_k of C^m (x) C^n sits at row-major
 position i*n + k.  All reshapes below are plain views under this
 convention, so realignment and partial transpose are entry permutations
 and preserve the Frobenius norm exactly.
+
+A BipartiteOperator is decomposed at most once: its svd and eigh properties
+run svd() and eig_hermitian() on first read and keep the read-only factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -24,9 +28,9 @@ from .errors import (
 HERMITIAN_RTOL = 1e-10
 DEFAULT_KRON_CAP = 4096
 
-# Testing hook: when set, svd() raises NumericalError unconditionally.  Used
-# by the CLI's --inject-svd-failure flag to exercise the numerical-failure
-# exit path deterministically.
+# Testing hook: when set, svd() raises NumericalError.  Used by the CLI's
+# --inject-svd-failure flag to exercise the numerical-failure exit path; an
+# svd already cached on an operator is not recomputed, so it does not fail.
 _SVD_FAILURE_INJECTED = False
 
 
@@ -47,7 +51,7 @@ def _as_complex_matrix(mat, what: str = "matrix") -> np.ndarray:
 def is_hermitian(mat: np.ndarray) -> bool:
     if mat.shape[0] != mat.shape[1] or mat.size == 0:
         return mat.size == 0
-    scale = max(1.0, float(np.max(np.abs(mat))))
+    scale = float(np.max(np.abs(mat)))
     return float(np.max(np.abs(mat - mat.conj().T))) <= HERMITIAN_RTOL * scale
 
 
@@ -57,7 +61,8 @@ class BipartiteOperator:
 
     The hermitian flag is part of the value: when True the matrix is
     conjugate-symmetric within HERMITIAN_RTOL relative to its largest entry.
-    Instances are immutable; the wrapped array is marked read-only.
+    Instances are immutable: a writeable (or borrowed) array is replaced by
+    a read-only copy, so the cached svd and eigh stay valid.
     """
 
     mat: np.ndarray
@@ -75,10 +80,30 @@ class BipartiteOperator:
             )
         if self.hermitian and not is_hermitian(self.mat):
             raise PreconditionError("hermitian flag set but matrix is not hermitian within tolerance")
+        if self.mat.flags.writeable or not self.mat.flags.owndata:
+            frozen = self.mat.copy()
+            frozen.flags.writeable = False
+            object.__setattr__(self, "mat", frozen)
 
     @property
     def dims(self) -> tuple[int, int]:
         return (self.dim_a, self.dim_b)
+
+    @cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """svd(mat) as read-only (u, s, vh), computed on first read."""
+        return _read_only(svd(self.mat))
+
+    @cached_property
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """eig_hermitian(mat) as read-only (w, V), computed on first read."""
+        return _read_only(eig_hermitian(self.mat))
+
+
+def _read_only(arrays: tuple) -> tuple:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return tuple(arrays)
 
 
 def bipartite(mat, dim_a: int, dim_b: int, *, symmetrize: bool = False) -> BipartiteOperator:
@@ -90,8 +115,6 @@ def bipartite(mat, dim_a: int, dim_b: int, *, symmetrize: bool = False) -> Bipar
     arr = _as_complex_matrix(mat, "operator")
     if symmetrize:
         arr = (arr + arr.conj().T) / 2.0
-    arr = arr.copy()
-    arr.flags.writeable = False
     return BipartiteOperator(arr, dim_a, dim_b, hermitian=is_hermitian(arr))
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ParameterError, PreconditionError
 from .kyfan import _check_k
-from .linalg import BipartiteOperator, eig_hermitian, svd
+from .linalg import BipartiteOperator, svd
 from .schmidt import PureState, _truncate_raw, pure_state
 
 EXACTNESS_RTOL = 1e-9
@@ -233,7 +233,7 @@ def _sk_bounds_full(
     _check_k(m, n, k)
     _check_budgets(restarts, max_iter, seed)
 
-    u, s, vh = svd(x.mat)
+    u, s, vh = x.svd
     if s[0] <= 0.0:
         v0 = pure_state(_basis_product_vec(m, n), m, n)
         pair = SeeSawResult(v0, v0, 0.0, 0, True, seed, ())
@@ -284,7 +284,6 @@ def sk_bounds(
 
 def _shifted_sk(
     y: BipartiteOperator,
-    lam: np.ndarray,
     sign: float,
     k: int,
     restarts: int,
@@ -295,10 +294,10 @@ def _shifted_sk(
     """c = lambda_max(z) for z = sign * y, and the S(k) bracket of the PSD
     operator cI - z, certified by the pair attaining its lower endpoint.
 
-    lam holds the eigenvalues of y, descending.  The see-saw is skipped
-    when the operator-norm upper bound is at most c + margin.
+    The see-saw is skipped when the operator-norm bound is at most c + margin.
     """
     m, n = y.dims
+    lam = y.eigh[0]
     c = float(lam[0]) if sign > 0 else -float(lam[-1])
     x_mat = c * np.eye(m * n, dtype=np.complex128) - sign * y.mat
     x_mat = (x_mat + x_mat.conj().T) / 2.0
@@ -328,12 +327,12 @@ def prod_radius_bounds(
     """
     if not y.hermitian:
         raise PreconditionError("prod_radius_bounds requires a hermitian operator")
-    lam, _ = eig_hermitian(y.mat)
+    lam = y.eigh[0]
     opn = float(max(abs(lam[0]), abs(lam[-1])))
     lowers = [(float(np.max(np.abs(np.real(np.diag(y.mat))))), "product_basis")]
     uppers: list[tuple[float, str]] = []
     for sign in ((-1.0, 1.0) if lam[0] >= -lam[-1] else (1.0, -1.0)):
-        c, iv = _shifted_sk(y, lam, sign, k, restarts, max_iter, seed, max(lowers)[0])
+        c, iv = _shifted_sk(y, sign, k, restarts, max_iter, seed, max(lowers)[0])
         lowers.append((iv.lower - c, iv.lower_method))
         uppers.append((iv.upper - c, iv.upper_method))
     lower, lo_tag = max(lowers)
@@ -376,9 +375,9 @@ def block_positivity_check(
     """
     if not y.hermitian:
         raise PreconditionError("block_positivity_check requires a hermitian operator")
-    lam, _ = eig_hermitian(y.mat)
+    lam = y.eigh[0]
     band = tol * max(1.0, abs(float(lam[0])), float(lam[0] - lam[-1]))
-    c, interval = _shifted_sk(y, lam, 1.0, k, restarts, max_iter, seed, band)
+    c, interval = _shifted_sk(y, 1.0, k, restarts, max_iter, seed, band)
     if c >= interval.upper - band:
         return BlockPositivityResult("certified_positive", c, interval, None)
     if c < interval.lower - band:

@@ -3,6 +3,7 @@ import pytest
 
 from entnorms.errors import DimensionError, NumericalError, ParameterError, PreconditionError
 from entnorms.linalg import (
+    BipartiteOperator,
     bipartite,
     eig_hermitian,
     hs_inner,
@@ -16,6 +17,7 @@ from entnorms.linalg import (
     svd,
     swap_operator,
 )
+from entnorms.sknorm import prod_radius_bounds
 from oracles import kron_ref, partial_trace_ref, partial_transpose_ref, realign_ref
 
 BELL = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
@@ -261,3 +263,34 @@ def test_bipartite_validation():
     g = np.array([[1.0, 2.0], [0.0, 1.0]])
     assert not bipartite(g, 1, 2).hermitian
     assert bipartite(g, 1, 2, symmetrize=True).hermitian
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-12, 1.0, 1e12, 1e300])
+def test_hermitian_flag_is_relative_at_every_scale(scale):
+    e01 = np.zeros((4, 4), dtype=complex)
+    e01[0, 1] = scale
+    x = bipartite(e01, 2, 2)
+    assert not x.hermitian
+    with pytest.raises(PreconditionError):
+        prod_radius_bounds(x, 1)
+    assert bipartite(BELL_RHO * scale, 2, 2).hermitian
+
+
+def test_zero_matrix_is_hermitian():
+    assert bipartite(np.zeros((4, 4)), 2, 2).hermitian
+
+
+@pytest.mark.parametrize("make", [
+    lambda a: BipartiteOperator(a, 2, 2, hermitian=True),
+    lambda a: bipartite(a, 2, 2),
+])
+def test_operator_keeps_a_frozen_copy(make):
+    a = BELL_RHO.copy()
+    x = make(a)
+    u, s, vh = x.svd
+    a[0, 0] = 7.0
+    assert not x.mat.flags.writeable
+    assert np.array_equal(x.mat, BELL_RHO)
+    assert x.svd[1] is s and np.array_equal(s, svd(BELL_RHO)[1])
+    with pytest.raises(ValueError):
+        x.svd[0][0, 0] = 1.0
