@@ -10,10 +10,11 @@ only help: it preserves Schmidt number, so the criterion applied after
 filtering is sound as well, and on pure states it provably flattens the
 Schmidt spectrum to the maximally entangled state on the support.
 
-The filter iteration itself (pseudo-inverse square roots on supports, trace
-renormalization, the tolerance and the iteration cap) is standard scaling
-machinery chosen here; only the filter-then-detect composition is part of
-the criterion.
+The filter is the normal-form iteration of Verstraete, Dehaene and De Moor
+(PRA 68, 012103, 2003); its details (pseudo-inverse square roots on
+supports, trace renormalization, tolerance, iteration cap) are chosen here,
+and only the filter-then-detect composition is part of the criterion.  Its
+iterates stay plain arrays: only the entry points validate and wrap.
 """
 
 from __future__ import annotations
@@ -26,15 +27,7 @@ from . import kyfan
 from .dualnorms import _require_density, gamma_bounds
 from .errors import EntnormsError, NumericalError, ParameterError, PreconditionError
 from .kyfan import _check_k
-from .linalg import (
-    BipartiteOperator,
-    bipartite,
-    eig_hermitian,
-    kron,
-    partial_trace,
-    realign,
-    svd,
-)
+from .linalg import BipartiteOperator, bipartite, eig_hermitian, realign, svd
 from .schmidt import PureState
 
 DETECTION_TOL = 1e-9
@@ -87,8 +80,9 @@ def detect_schmidt_number(
 
     Both the raw and the filtered value are sound, so the report carries
     the larger; filtered records whether the filtered path supplied it.  The
-    filter runs with FILTER_TOL and FILTER_MAX_ITER; one that fails or does
-    not converge degrades to the raw value.
+    filter runs with FILTER_TOL and FILTER_MAX_ITER; one that fails leaves
+    the raw value, and one that stops unconverged still supplies its last
+    iterate's value, as every iterate is a local operation on rho.
     """
     _require_density(rho, "detect_schmidt_number")
     value = realignment_value(rho, k)
@@ -223,41 +217,45 @@ def local_filter(rho: BipartiteOperator, max_iter: int = FILTER_MAX_ITER) -> Fil
     cannot increase), renormalizes the trace, and alternates sides.  Stops
     when both marginals are within FILTER_TOL (Frobenius) of maximally mixed on
     their supports, or after max_iter rounds with converged=False.  On a
-    pure state one round flattens the Schmidt coefficients exactly.
+    pure state one round flattens the Schmidt coefficients exactly.  The
+    iterates are plain arrays (marginals read their (m, n, m, n) view); only
+    the returned state is wrapped as a BipartiteOperator.
     """
     _require_density(rho, "local_filter")
     if max_iter < 0:
         raise ParameterError(f"max_iter must be >= 0, got {max_iter}")
     m, n = rho.dims
-    work = rho.mat.copy()
+    work = (rho.mat + rho.mat.conj().T) / 2.0
     f_a = np.eye(m, dtype=np.complex128)
     f_b = np.eye(n, dtype=np.complex128)
-    eye_m = np.eye(m, dtype=np.complex128)
-    eye_n = np.eye(n, dtype=np.complex128)
 
     for iterations in range(max_iter + 1):
-        bp = bipartite(work, m, n, symmetrize=True)
-        spec_a = _support_spectrum(partial_trace(bp, "B"))
+        t = work.reshape(m, n, m, n)
+        spec_a = _support_spectrum(np.einsum("ikjk->ij", t))
         flat_a = _flatness(spec_a) <= FILTER_TOL
-        if flat_a and _flatness(_support_spectrum(partial_trace(bp, "A"))) <= FILTER_TOL:
-            return FilterResult(bp, f_a, f_b, True, iterations)
-        if iterations == max_iter:
-            return FilterResult(bp, f_a, f_b, False, iterations)
+        converged = flat_a and _flatness(_support_spectrum(np.einsum("ikil->kl", t))) <= FILTER_TOL
+        if converged or iterations == max_iter:
+            return FilterResult(bipartite(work, m, n), f_a, f_b, converged, iterations)
 
         step_a = _pinv_sqrt(spec_a)
-        lift = kron(step_a, eye_n)
-        work = lift @ work @ lift.conj().T
-        work = _renormalize(work)
+        work = _whiten(work, step_a, "A")
         f_a = step_a @ f_a
 
-        marg_b = partial_trace(bipartite(work, m, n, symmetrize=True), "A")
-        step_b = _pinv_sqrt(_support_spectrum(marg_b))
-        lift = kron(eye_m, step_b)
-        work = lift @ work @ lift.conj().T
-        work = _renormalize(work)
+        step_b = _pinv_sqrt(_support_spectrum(np.einsum("ikil->kl", work.reshape(m, n, m, n))))
+        work = _whiten(work, step_b, "B")
         f_b = step_b @ f_b
 
     raise AssertionError("unreachable")
+
+
+def _whiten(work: np.ndarray, step: np.ndarray, side: str) -> np.ndarray:
+    """Renormalized (S (x) I) work (S (x) I)^dag for side "A", with I (x) S
+    for "B": two matmuls over reshaped views, the second of which yields
+    the adjoint, whose hermitian part is the same."""
+    d = work.shape[0]
+    shape = (len(step), -1) if side == "A" else (-1, len(step), d)
+    once = (step @ work.reshape(shape)).reshape(d, d).conj().T
+    return _renormalize((step @ once.reshape(shape)).reshape(d, d))
 
 
 def _renormalize(work: np.ndarray) -> np.ndarray:

@@ -38,12 +38,11 @@ import numpy as np
 from . import kyfan
 from .errors import InfeasibleError, ParameterError, PreconditionError
 from .kyfan import _check_k
-from .linalg import BipartiteOperator, bipartite, realign, realign_inverse, svd
-from .schmidt import PureState, pure_state, schmidt_decompose
+from .linalg import SINGULAR_ZERO_RTOL, BipartiteOperator, bipartite, realign, realign_inverse, svd
+from .schmidt import PureState, schmidt_decompose
 from .sknorm import NormInterval, _exact_interval, _finish_interval, _random_sr_vec, sk_pure
 
 COEFF_PRUNE_RTOL = 1e-12
-SPECTRAL_CUTOFF_RTOL = 1e-14
 DENSITY_TRACE_ATOL = 1e-9
 DEFAULT_CERTIFY_TOL = 1e-9
 
@@ -150,7 +149,7 @@ def _chunk_vector(vec: np.ndarray, m: int, n: int, k: int) -> list[tuple[np.ndar
     nrm = float(np.linalg.norm(vec))
     if nrm == 0.0:
         return []
-    sd = schmidt_decompose(pure_state(vec, m, n, require_normalized=False))
+    sd = schmidt_decompose(PureState(vec, m, n))
     pieces = []
     for g in range(0, sd.rank, k):
         c = sd.coeffs[g : g + k]
@@ -176,7 +175,7 @@ def _svd_atoms(
     lefts: list[np.ndarray] = []
     rights: list[np.ndarray] = []
     coeffs: list[float] = []
-    cutoff = SPECTRAL_CUTOFF_RTOL * float(s[0]) if s.size else 0.0
+    cutoff = SINGULAR_ZERO_RTOL * float(s[0]) if s.size else 0.0
     for i in range(s.size):
         if s[i] <= cutoff:
             break
@@ -281,42 +280,35 @@ def best_gamma_witness(x: BipartiteOperator, k: int) -> Witness:
     u, s, vh = x.svd
     if s[0] <= 0.0:
         raise ParameterError("the zero operator admits no witness")
-    if k < min(m, n) and (s.size == 1 or s[1] <= SPECTRAL_CUTOFF_RTOL * s[0]):
+    if k < min(m, n) and (s.size == 1 or s[1] <= SINGULAR_ZERO_RTOL * s[0]):
         a, _ = kyfan.k2_dual_attainer(u[:, 0].reshape(m, n), k)
         b, _ = kyfan.k2_dual_attainer(vh[0, :].conj().reshape(m, n), k)
         ketbra = np.outer(a.reshape(-1), b.reshape(-1).conj())
         pairing = float(abs(np.vdot(ketbra, x.mat)))
         return Witness(bipartite(ketbra, m, n), 1.0, pairing, k, "dual_ketbra")
-    sign_unitary = Witness(bipartite(u @ vh, m, n), 1.0, float(np.sum(s)), k, "sign_unitary")
     if k == min(m, n):
-        return sign_unitary
+        return Witness(bipartite(u @ vh, m, n), 1.0, float(np.sum(s)), k, "sign_unitary")
 
+    # Candidates are scored by pairing / sk_upper; only the winner is built.
     y, realigned = kyfan.k2_dual_attainer(realign(x), k * k)
     candidates = [
-        sign_unitary,
-        Witness(bipartite(realign_inverse(y, m, n), m, n), 1.0, realigned, k, "realigned_dual"),
+        (float(np.sum(s)), 1.0, "sign_unitary", lambda: bipartite(u @ vh, m, n)),
+        (realigned, 1.0, "realigned_dual", lambda: bipartite(realign_inverse(y, m, n), m, n)),
     ]
-
     if x.hermitian:
         lam, vecs = x.eigh
         for i in range(lam.size):
-            if abs(lam[i]) <= SPECTRAL_CUTOFF_RTOL * s[0]:
+            if abs(lam[i]) <= SINGULAR_ZERO_RTOL * s[0]:
                 continue
             col = vecs[:, i]
-            sk_val = sk_pure(pure_state(col, m, n, require_normalized=False), k)
+            sk_val = sk_pure(PureState(col, m, n), k)
             if sk_val <= 0.0:
                 continue
-            candidates.append(
-                Witness(
-                    bipartite(np.outer(col, col.conj()), m, n, symmetrize=True),
-                    sk_val,
-                    float(abs(lam[i])),
-                    k,
-                    "eigenprojector",
-                )
-            )
+            proj = lambda col=col: bipartite(np.outer(col, col.conj()), m, n, symmetrize=True)
+            candidates.append((float(abs(lam[i])), sk_val, "eigenprojector", proj))
 
-    return max(candidates, key=lambda c: c.bound)
+    pairing, sk_upper, method, build = max(candidates, key=lambda c: c[0] / c[1])
+    return Witness(build(), sk_upper, pairing, k, method)
 
 
 def gamma_bounds(x: BipartiteOperator, k: int) -> NormInterval:
@@ -341,7 +333,7 @@ def gamma_bounds(x: BipartiteOperator, k: int) -> NormInterval:
         return _exact_interval(wit.bound, "rank_one_exact", wit)
 
     u, s, vh = x.svd
-    cutoff = SPECTRAL_CUTOFF_RTOL * float(s[0])
+    cutoff = SINGULAR_ZERO_RTOL * float(s[0])
     mixture = 0.0
     for i in range(s.size):
         if s[i] <= cutoff:
@@ -391,7 +383,10 @@ def decomposition_oracle(
 
     lefts = np.array(lefts_l)
     rights = np.array(rights_l)
-    target = x.mat.reshape(-1)
+    # HiGHS tolerances are absolute, so the program is solved for x / scale
+    # with the exact power of two nearest the trace norm (1 on densities).
+    scale = math.ldexp(1.0, round(math.log2(float(np.sum(x.svd[1])))))
+    target = x.mat.reshape(-1) / scale
 
     def solve(le: np.ndarray, ri: np.ndarray):
         atoms = np.einsum("ni,nj->nij", le, ri.conj()).reshape(le.shape[0], d * d)
@@ -421,8 +416,8 @@ def decomposition_oracle(
                 "budget too small for this operator"
             )
 
-    c = np.clip(np.asarray(res.x, dtype=np.float64), 0.0, None)
-    keep = c > COEFF_PRUNE_RTOL * max(1.0, float(np.sum(c)))
+    c = np.clip(np.asarray(res.x, dtype=np.float64), 0.0, None) * scale
+    keep = c > COEFF_PRUNE_RTOL * float(np.sum(c))
     if not np.any(keep):
         keep = c >= np.max(c)
     dec = build_decomposition(
@@ -459,10 +454,9 @@ def robustness_bounds(y: BipartiteOperator, k: int) -> NormInterval:
     upper = 0.0
     scale = float(np.max(np.abs(lam)))
     for i in range(lam.size):
-        if abs(lam[i]) <= SPECTRAL_CUTOFF_RTOL * scale:
+        if abs(lam[i]) <= SINGULAR_ZERO_RTOL * scale:
             continue
-        ui = pure_state(vecs[:, i], m, n, require_normalized=False)
-        upper += float(abs(lam[i])) * (2.0 * gamma_pure(ui, 1) - 1.0)
+        upper += float(abs(lam[i])) * (2.0 * gamma_pure(PureState(vecs[:, i], m, n), 1) - 1.0)
     return _finish_interval(
         gb.lower, upper, f"gamma_{gb.lower_method}", "pure_split_k1", gb.certificate
     )

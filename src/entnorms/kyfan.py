@@ -27,11 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, ParameterError
-from .linalg import _as_complex_matrix, svd
+from .linalg import SINGULAR_ZERO_RTOL, _as_complex_matrix, svd
 
-# Singular values this far below the largest are treated as exact zeros
-# before the break-index predicate is evaluated.
-CLAMP_RTOL = 1e-14
 # Near-ties within this fraction of the largest singular value fall to the
 # smaller r; the dual value is continuous across them, so only r is affected.
 TIE_GUARD = 1e-12
@@ -51,52 +48,59 @@ def _clean_profile(sigma, k: int) -> np.ndarray:
         raise DegenerateInputError("singular value profile must be a nonempty 1-d array")
     if not np.all(np.isfinite(arr)):
         raise ParameterError("singular value profile contains NaN or Inf")
-    if np.any(arr < -TIE_GUARD):
+    scale = float(np.max(np.abs(arr)))
+    if np.any(arr < -TIE_GUARD * scale):
         raise ParameterError("singular values must be nonnegative")
-    if np.any(arr[1:] - arr[:-1] > 1e-9 * max(1.0, float(arr[0]))):
+    if np.any(arr[1:] - arr[:-1] > 1e-9 * scale):
         raise ParameterError("singular values must be sorted in descending order")
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ParameterError(f"k must be a positive integer, got {k!r}")
     arr = np.clip(arr, 0.0, None)
     if arr[0] > 0.0:
-        arr[arr < CLAMP_RTOL * arr[0]] = 0.0
+        arr[arr < SINGULAR_ZERO_RTOL * arr[0]] = 0.0
     return arr
 
 
-def break_index(sigma, k: int) -> BreakIndexResult:
-    """Locate the break index of a descending nonnegative profile.
-
-    Indices beyond the end of the profile count as zeros, so k may exceed
-    len(sigma).  The returned sigma_tilde is the tail sum past r divided by
-    k - r; for r >= 1 the defining strict inequality holds at r and fails
-    for every larger candidate.
-    """
-    arr = _clean_profile(sigma, k)
-    guard = TIE_GUARD * float(arr[0])
-    total = float(np.sum(arr))
+def _break(clean: np.ndarray, k: int) -> BreakIndexResult:
+    guard = TIE_GUARD * float(clean[0])
+    total = float(np.sum(clean))
 
     def tail(r: int) -> float:
-        return total - float(np.sum(arr[:r])) if r < arr.size else 0.0
+        return total - float(np.sum(clean[:r])) if r < clean.size else 0.0
 
     r = 0
     for cand in range(k - 1, 0, -1):
-        s_cand = float(arr[cand - 1]) if cand <= arr.size else 0.0
+        s_cand = float(clean[cand - 1]) if cand <= clean.size else 0.0
         if s_cand > tail(cand) / (k - cand) + guard:
             r = cand
             break
     return BreakIndexResult(r=r, sigma_tilde=tail(r) / (k - r))
 
 
-def k2_dual_from_singular_values(sigma, k: int) -> float:
-    """Dual norm value from a descending singular value profile, computed on
-    the profile scaled by a power of two into [1/2, 1): no square overflows
-    or underflows, and the exact scaling keeps the unscaled formula's value."""
-    arr = _clean_profile(sigma, k)
-    exp = math.frexp(float(arr[0]))[1]
-    unit = np.ldexp(arr, -exp)
-    bi = break_index(unit, k)
+def break_index(sigma, k: int) -> BreakIndexResult:
+    """Locate the break index of a descending nonnegative profile.
+
+    Order and sign are checked relative to the largest entry.  Indices past
+    the end of the profile count as zeros, so k may exceed len(sigma).  The
+    returned sigma_tilde is the tail sum past r divided by k - r; for r >= 1
+    the defining strict inequality holds at r and fails for every larger one.
+    """
+    return _break(_clean_profile(sigma, k), k)
+
+
+def _dual_value(clean: np.ndarray, k: int) -> float:
+    exp = math.frexp(float(clean[0]))[1]
+    unit = np.ldexp(clean, -exp)
+    bi = _break(unit, k)
     head = float(np.sum(unit[: bi.r] ** 2))
     return math.ldexp(math.sqrt(head + (k - bi.r) * bi.sigma_tilde**2), exp)
+
+
+def k2_dual_from_singular_values(sigma, k: int) -> float:
+    """Dual norm value from a descending singular value profile, checked once
+    and then scaled by a power of two into [1/2, 1): no square overflows or
+    underflows, and the exact scaling keeps the unscaled formula's value."""
+    return _dual_value(_clean_profile(sigma, k), k)
 
 
 def _check_k(dim_a: int, dim_b: int, k: int) -> None:
@@ -126,13 +130,13 @@ def k2_dual(mat, k: int) -> float:
 
 def k2_dual_attainer(mat, k: int) -> tuple[np.ndarray, float]:
     """A unit-(k,2)-norm Y with Re tr(Y^dag mat) = k2_dual(mat, k), and that
-    value: mat's singular frames with the profile past the break index
-    flattened to sigma_tilde, divided by the dual value."""
+    value: mat's singular frames with the (once-checked) profile past the
+    break index flattened to sigma_tilde, divided by the dual value."""
     u, s, vh = _checked_svd(mat, k)
-    value = k2_dual_from_singular_values(s, k)
+    beta = _clean_profile(s, k)
+    value = _dual_value(beta, k)
     if value <= 0.0:
         raise DegenerateInputError("the zero matrix has no attaining dual matrix")
-    bi = break_index(s, k)
-    beta = s.copy()
+    bi = _break(beta, k)
     beta[bi.r :] = bi.sigma_tilde
     return (u * (beta / value)) @ vh, value

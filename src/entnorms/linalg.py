@@ -27,6 +27,9 @@ from .errors import (
 
 HERMITIAN_RTOL = 1e-10
 DEFAULT_KRON_CAP = 4096
+# Singular values (or |eigenvalues|) this far below the largest count as
+# zero: they decide rank one, cut spectral sums and clamp (k,2) profiles.
+SINGULAR_ZERO_RTOL = 1e-14
 
 # Testing hook: when set, svd() raises NumericalError.  Used by the CLI's
 # --inject-svd-failure flag to exercise the numerical-failure exit path; an

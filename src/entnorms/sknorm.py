@@ -32,11 +32,10 @@ import numpy as np
 
 from .errors import ParameterError, PreconditionError
 from .kyfan import _check_k
-from .linalg import BipartiteOperator, svd
+from .linalg import SINGULAR_ZERO_RTOL, BipartiteOperator, svd
 from .schmidt import PureState, _truncate_raw, pure_state
 
 EXACTNESS_RTOL = 1e-9
-RANK_ONE_RTOL = 1e-12
 SEESAW_TOL = 1e-10
 
 
@@ -244,7 +243,7 @@ def _sk_bounds_full(
         # At maximal k the restriction is vacuous and the norm is the
         # operator norm; the optimal pair is the leading singular pair.
         closed = (u[:, 0], vh[0, :].conj(), float(s[0]), "operator_norm_exact")
-    elif s.size == 1 or s[1] <= RANK_ONE_RTOL * s[0]:
+    elif s.size == 1 or s[1] <= SINGULAR_ZERO_RTOL * s[0]:
         v_vec, gv = _truncate_raw(u[:, 0], m, n, k)
         w_vec, gw = _truncate_raw(vh[0, :].conj(), m, n, k)
         closed = (v_vec, w_vec, float(s[0] * gv * gw), "rank_one_exact")
@@ -368,15 +367,15 @@ def block_positivity_check(
     y is k-block positive exactly when c >= |cI - y|_S(k), with c its top
     eigenvalue.  The verdict is certified_positive when c clears the upper
     bound, certified_negative when c falls below the lower bound, else
-    undecided.  Comparisons use a relative band of tol so exact-boundary
-    cases decide deterministically.  The see-saw lower bound is only
-    computed when the cheap upper bound does not already settle the
-    question.
+    undecided.  Comparisons use a band of tol times max(|lambda_max|,
+    lambda_max - lambda_min): exact-boundary cases decide deterministically
+    and no scaling of y moves a verdict.  The see-saw lower bound is only
+    computed when the cheap upper bound does not already settle it.
     """
     if not y.hermitian:
         raise PreconditionError("block_positivity_check requires a hermitian operator")
     lam = y.eigh[0]
-    band = tol * max(1.0, abs(float(lam[0])), float(lam[0] - lam[-1]))
+    band = tol * max(abs(float(lam[0])), float(lam[0] - lam[-1]))
     c, interval = _shifted_sk(y, 1.0, k, restarts, max_iter, seed, band)
     if c >= interval.upper - band:
         return BlockPositivityResult("certified_positive", c, interval, None)

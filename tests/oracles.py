@@ -154,3 +154,57 @@ def product_overlap_grid(v, n, steps=240):
     amps = np.stack([np.cos(tt), np.sin(tt) * np.exp(1j * pp)], axis=-1)
     rows = amps.conj() @ mat
     return float(np.max(np.linalg.norm(rows, axis=-1)))
+
+
+def local_filter_ref(rho, m, n, max_iter=200, tol=1e-9, support_rtol=1e-12):
+    """Alternating marginal whitening with explicit Kronecker lifts.
+
+    The same iteration as the library filter, written on d x d matrices:
+    each round symmetrizes, whitens the first factor with
+    (S_A (x) I) rho (S_A (x) I)^dag, renormalizes, whitens the second with
+    (I (x) S_B), renormalizes.  Returns (rho, f_a, f_b, iterations,
+    converged).
+    """
+
+    def sym(x):
+        return (x + x.conj().T) / 2.0
+
+    def spectrum(marginal):
+        lam, vecs = np.linalg.eigh(sym(marginal))
+        lam, vecs = lam[::-1], vecs[:, ::-1]
+        rank = int(np.sum(lam > support_rtol * max(lam[0], 0.0)))
+        return lam, vecs, rank
+
+    def flat(spec):
+        lam, _, rank = spec
+        target = np.zeros_like(lam)
+        target[:rank] = 1.0 / rank
+        return np.linalg.norm(lam - target) <= tol
+
+    def pinv_sqrt(spec):
+        lam, vecs, rank = spec
+        inv = np.zeros_like(lam)
+        inv[:rank] = 1.0 / np.sqrt(lam[:rank])
+        return (vecs * inv) @ vecs.conj().T
+
+    def renormalize(x):
+        x = sym(x)
+        return x / np.trace(x).real
+
+    work = np.array(rho, dtype=complex)
+    f_a = np.eye(m, dtype=complex)
+    f_b = np.eye(n, dtype=complex)
+    for iterations in range(max_iter + 1):
+        work = sym(work)
+        spec_a = spectrum(partial_trace_ref(work, m, n, "B"))
+        converged = flat(spec_a) and flat(spectrum(partial_trace_ref(work, m, n, "A")))
+        if converged or iterations == max_iter:
+            return work, f_a, f_b, iterations, converged
+        step_a = pinv_sqrt(spec_a)
+        lift = np.kron(step_a, np.eye(n))
+        work = renormalize(lift @ work @ lift.conj().T)
+        f_a = step_a @ f_a
+        step_b = pinv_sqrt(spectrum(partial_trace_ref(work, m, n, "A")))
+        lift = np.kron(np.eye(m), step_b)
+        work = renormalize(lift @ work @ lift.conj().T)
+        f_b = step_b @ f_b

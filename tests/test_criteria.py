@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import entnorms.criteria as criteria
 from entnorms.criteria import (
     DetectionReport,
     cross_norm_test,
@@ -14,6 +15,7 @@ from entnorms.errors import ParameterError, PreconditionError
 from entnorms.linalg import bipartite, partial_trace
 from entnorms.schmidt import pure_state, schmidt_rank
 from entnorms.states import EnsembleSpec, generate
+from oracles import local_filter_ref
 
 SQ7 = np.sqrt(0.7)
 SQ3 = np.sqrt(0.3)
@@ -225,6 +227,55 @@ def test_filter_iteration_cap():
     assert fr.iterations == 0
     with pytest.raises(ParameterError):
         local_filter(rho, max_iter=-1)
+
+
+# An sn_bounded_density on which the filter stops unconverged at the cap.
+UNCONVERGED = EnsembleSpec("sn_bounded_density", 3, 3, k=1, terms=4, seed=20130418)
+
+
+@pytest.mark.parametrize("rho", [
+    projector(two_term_state()),
+    generate(EnsembleSpec("ginibre_density", 3, 3, seed=6)),
+    generate(EnsembleSpec("isotropic", 3, 3, p=0.4)),
+    generate(UNCONVERGED),
+], ids=["pure", "ginibre", "isotropic", "unconverged"])
+def test_filter_matches_the_kronecker_lift_reference(rho):
+    m, n = rho.dims
+    ref_rho, ref_a, ref_b, ref_iterations, ref_converged = local_filter_ref(rho.mat, m, n)
+    fr = local_filter(rho)
+    assert (fr.iterations, fr.converged) == (ref_iterations, ref_converged)
+    for got, ref in ((fr.rho.mat, ref_rho), (fr.f_a, ref_a), (fr.f_b, ref_b)):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert fr.rho.hermitian and not fr.rho.mat.flags.writeable
+
+
+@pytest.mark.parametrize("spec", [UNCONVERGED, EnsembleSpec("ginibre_density", 3, 3, seed=6)])
+def test_filter_wraps_only_its_result(monkeypatch, spec):
+    rho = generate(spec)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return bipartite(*args, **kwargs)
+
+    monkeypatch.setattr(criteria, "bipartite", counting)
+    fr = local_filter(rho)
+    assert fr.iterations >= 10
+    assert len(calls) <= 1
+
+
+def test_unconverged_filter_still_supplies_the_detection_value():
+    # Every filter iterate is a local operation on rho, so the value of the
+    # last one is sound even when the filter stops at its cap.
+    rho = generate(UNCONVERGED)
+    fr = local_filter(rho)
+    assert not fr.converged and fr.iterations == criteria.FILTER_MAX_ITER
+    raw = realignment_value(rho, 1)
+    rep = detect_schmidt_number(rho, 1, use_filter=True)
+    assert abs(raw - 0.9577) < 1e-4
+    assert rep.value == realignment_value(fr.rho, 1)
+    assert abs(rep.value - 0.99999999999994) < 1e-13
+    assert rep.filtered and not rep.detected
 
 
 def test_report_consistency_guard():

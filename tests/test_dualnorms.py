@@ -495,3 +495,58 @@ def test_robustness_brackets_carry_the_gamma_witness():
         iv = robustness_bounds(y, k)
         assert iv.certificate.method == gamma_bounds(y, k).certificate.method
         assert iv.certificate.bound == iv.lower
+
+
+def test_gamma_witness_builds_only_the_winning_operator(monkeypatch):
+    rho = generate(EnsembleSpec("ginibre_density", 4, 4, seed=3))
+    assert np.all(rho.eigh[0] > 0.0)
+    wrapped = []
+
+    def counting(*args, **kwargs):
+        wrapped.append(args[0])
+        return bipartite(*args, **kwargs)
+
+    monkeypatch.setattr(dualnorms, "bipartite", counting)
+    wit = best_gamma_witness(rho, 2)
+    assert len(wrapped) == 1
+    assert wit.w.mat.shape == (16, 16)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_oracle_solves_at_unit_scale(monkeypatch, dims):
+    # HiGHS tolerances are absolute: without rescaling, 1e-12 returned the
+    # residual penalty alone and 1e6 a spurious infeasible first solve.
+    m, n = dims
+    rho = generate(EnsembleSpec("ginibre_density", m, n, seed=3))
+    budget = 2 * (m * n) ** 2
+    statuses = []
+    solver = dualnorms.linprog
+
+    def recording(*args):
+        res = solver(*args)
+        statuses.append(res.status)
+        return res
+
+    monkeypatch.setattr(dualnorms, "linprog", recording)
+    base, _ = decomposition_oracle(rho, 1, budget=budget)
+    for scale in (1e-12, 1e6, 1e12):
+        statuses.clear()
+        upper, _ = decomposition_oracle(bipartite(scale * rho.mat, m, n), 1, budget=budget)
+        assert statuses == [0]
+        assert abs(upper / scale - base) <= 1e-9 * base
+
+
+@pytest.mark.parametrize("ratio, closed", [(1e-13, False), (1e-15, True)])
+def test_rank_one_closed_forms_share_one_cutoff(ratio, closed):
+    # One cutoff on s_2 / s_1 decides rank one for both brackets.
+    rng = np.random.default_rng(4)
+    u, v = (np.linalg.qr(rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2)))[0]
+            for _ in range(2))
+    x = bipartite((u * [1.0, ratio]) @ v.conj().T, 3, 3)
+    s = x.svd[1]
+    assert abs(s[1] / s[0] - ratio) <= 0.1 * ratio
+    for k in (1, 2):
+        sk = sknorm.sk_bounds(x, k, restarts=2, max_iter=20)
+        gb = gamma_bounds(x, k)
+        assert (sk.upper_method == "rank_one_exact") == closed
+        assert (gb.upper_method == "rank_one_exact") == closed

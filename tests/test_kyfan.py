@@ -162,3 +162,22 @@ def test_break_index_dual_and_attainer_are_scale_invariant(c):
             y, _ = k2_dual_attainer(x, k)
             yc, _ = k2_dual_attainer(c * x, k)
             assert np.max(np.abs(yc - y)) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [2.0**-40, 1.0, 2.0**40])
+@pytest.mark.parametrize("profile", [[1.0, 3.0], [2.0, 1.0, 1.5], [1.0, 0.5, -0.25]],
+                         ids=["unsorted", "unsorted_tail", "negative"])
+def test_profile_checks_are_relative_to_the_largest_entry(scale, profile):
+    sigma = scale * np.array(profile)
+    with pytest.raises(ParameterError):
+        break_index(sigma, 2)
+    with pytest.raises(ParameterError):
+        k2_dual_from_singular_values(sigma, 2)
+
+
+def test_a_tiny_unsorted_profile_is_not_read_as_sorted():
+    # Sorted, [3e-12, 1e-12] has r = 1; the unsorted order must be rejected
+    # rather than answered with r = 0.
+    assert break_index([3e-12, 1e-12], 2).r == 1
+    with pytest.raises(ParameterError):
+        break_index([1e-12, 3e-12], 2)

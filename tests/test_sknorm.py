@@ -291,3 +291,23 @@ def test_sk_certificate_attains_the_lower_endpoint():
         assert schmidt_rank(pair.v) <= k and schmidt_rank(pair.w) <= k
         pairing = abs(np.vdot(pair.v.amplitudes, x.mat @ pair.w.amplitudes))
         assert abs(pairing - iv.lower) <= 1e-12 * max(1.0, iv.lower)
+
+
+def _w1_witness():
+    phi = np.zeros(9)
+    phi[[0, 4, 8]] = 1.0 / np.sqrt(3.0)
+    return np.eye(9) - 3.0 * np.outer(phi, phi)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-12, 1e-9, 1.0, 1e9, 1e300])
+def test_block_positivity_verdicts_do_not_depend_on_scale(scale):
+    # The flip is 1-block positive but not PSD (k = 2 = min(dims) on 2x2);
+    # W_1 = I - 3|Phi+><Phi+| is 1- but not 2-block positive.
+    cases = (
+        (swap_operator(2).mat, 2, {1: "certified_positive", 2: "certified_negative"}),
+        (_w1_witness(), 3, {1: "certified_positive", 2: "certified_negative"}),
+    )
+    for mat, d, verdicts in cases:
+        y = bipartite(scale * mat, d, d)
+        for k, verdict in verdicts.items():
+            assert block_positivity_check(y, k).verdict == verdict
