@@ -40,7 +40,7 @@ from .errors import InfeasibleError, ParameterError, PreconditionError
 from .kyfan import _check_k
 from .linalg import SINGULAR_ZERO_RTOL, BipartiteOperator, bipartite, realign, realign_inverse, svd
 from .schmidt import PureState, schmidt_decompose
-from .sknorm import NormInterval, _exact_interval, _finish_interval, _random_sr_vec, sk_pure
+from .sknorm import NormInterval, _exact_interval, _finish_interval, _sr_unit_vectors, sk_pure
 
 COEFF_PRUNE_RTOL = 1e-12
 DENSITY_TRACE_ATOL = 1e-9
@@ -212,8 +212,10 @@ def build_decomposition(
     c = np.array(coefficients, dtype=np.float64)
     le = np.array(lefts, dtype=np.complex128)
     ri = np.array(rights, dtype=np.complex128)
-    rec = (le.T * c) @ ri.conj()
-    residual = float(np.linalg.norm(target.mat - rec))
+    diff = target.mat - (le.T * c) @ ri.conj()
+    # Frobenius norm at unit scale: squaring entries near 1e300 overflows.
+    peak = float(np.max(np.abs(diff)))
+    residual = peak * float(np.linalg.norm(diff / peak)) if peak > 0.0 else 0.0
     return Decomposition(c, le, ri, dim_a, dim_b, k, residual)
 
 
@@ -342,6 +344,20 @@ def gamma_bounds(x: BipartiteOperator, k: int) -> NormInterval:
     return _finish_interval(wit.bound, mixture, wit.method, "svd_mixture", wit)
 
 
+def _random_pairs(
+    rng: np.random.Generator, count: int, m: int, n: int, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """count Schmidt-truncated Gaussian ket-bra pairs (lefts, rights).
+
+    One draw feeds one stacked truncation; pair i takes the real then the
+    imaginary part of its left, then of its right factor, the order in
+    which drawing the factors one at a time consumes the stream.
+    """
+    g = rng.standard_normal((count, 2, 2, m * n))
+    vecs = _sr_unit_vectors(g[:, :, 0] + 1j * g[:, :, 1], m, n, k)
+    return vecs[:, 0], vecs[:, 1]
+
+
 def decomposition_oracle(
     x: BipartiteOperator,
     k: int,
@@ -374,15 +390,12 @@ def decomposition_oracle(
     if float(np.max(np.abs(x.mat))) == 0.0:
         raise ParameterError("cannot decompose the zero operator")
 
-    lefts_l, rights_l, _ = _svd_atoms(x, k)
-    rng = np.random.default_rng(seed)
-    n_random = budget - len(lefts_l)
-    for _ in range(n_random):
-        lefts_l.append(_random_sr_vec(rng, m, n, k))
-        rights_l.append(_random_sr_vec(rng, m, n, k))
-
-    lefts = np.array(lefts_l)
-    rights = np.array(rights_l)
+    atom_lefts, atom_rights, _ = _svd_atoms(x, k)
+    rand_lefts, rand_rights = _random_pairs(
+        np.random.default_rng(seed), budget - len(atom_lefts), m, n, k
+    )
+    lefts = np.concatenate([np.array(atom_lefts), rand_lefts])
+    rights = np.concatenate([np.array(atom_rights), rand_rights])
     # HiGHS tolerances are absolute, so the program is solved for x / scale
     # with the exact power of two nearest the trace norm (1 on densities).
     scale = math.ldexp(1.0, round(math.log2(float(np.sum(x.svd[1])))))

@@ -8,6 +8,9 @@ and preserve the Frobenius norm exactly.
 
 A BipartiteOperator is decomposed at most once: its svd and eigh properties
 run svd() and eig_hermitian() on first read and keep the read-only factors.
+svd() also accepts a stack of shape (..., m, n) and decomposes every matrix
+in one call, which the see-saw and the Schmidt truncations use to avoid a
+Python round trip per small matrix.
 """
 
 from __future__ import annotations
@@ -42,9 +45,9 @@ def inject_svd_failure(enabled: bool) -> None:
     _SVD_FAILURE_INJECTED = bool(enabled)
 
 
-def _as_complex_matrix(mat, what: str = "matrix") -> np.ndarray:
+def _as_complex_matrix(mat, what: str = "matrix", stacked: bool = False) -> np.ndarray:
     arr = np.asarray(mat, dtype=np.complex128)
-    if arr.ndim != 2:
+    if arr.ndim != 2 and not (stacked and arr.ndim > 2):
         raise ParameterError(f"{what} must be 2-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ParameterError(f"{what} contains NaN or Inf entries")
@@ -193,8 +196,12 @@ def realign_inverse(l: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
 
 
 def svd(mat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD, M = U diag(s) Vh, singular values descending."""
-    arr = _as_complex_matrix(mat)
+    """Thin SVD, M = U diag(s) Vh, singular values descending.
+
+    A stack of shape (..., m, n) returns stacked factors, one thin SVD per
+    matrix, from a single call.
+    """
+    arr = _as_complex_matrix(mat, stacked=True)
     if _SVD_FAILURE_INJECTED:
         raise NumericalError("svd failure injected by testing hook")
     try:

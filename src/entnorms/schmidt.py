@@ -146,21 +146,24 @@ def schmidt_truncate(v: PureState, k: int) -> PureState:
     return pure_state(vec, v.dim_a, v.dim_b, require_normalized=False)
 
 
-def _truncate_raw(u: np.ndarray, m: int, n: int, k: int) -> tuple[np.ndarray, float]:
-    """Top-k Schmidt truncation of a raw vector, normalized.
+def _truncate_raw(u: np.ndarray, m: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k Schmidt truncation of raw vectors, normalized.
 
-    Returns (unit vector, gain) where gain is the l2 norm of the k leading
-    Schmidt coefficients of u, i.e. the largest overlap of u with any
-    Schmidt-rank-<=k unit vector; the returned vector attains it.  A zero
-    gain returns u itself.
+    u has shape (..., m*n), one vector per trailing row, and all of them are
+    truncated by a single stacked svd.  Returns (unit vectors, gains) of
+    shapes u.shape and u.shape[:-1], where a gain is the l2 norm of the k
+    leading Schmidt coefficients of its row, i.e. the largest overlap of
+    that row with any Schmidt-rank-<=k unit vector; the returned vector
+    attains it.  A row with zero gain is returned as it is.
     """
-    uu, s, vh = svd(u.reshape(m, n))
-    kk = min(k, s.size)
-    gain = float(np.linalg.norm(s[:kk]))
-    if gain <= 0.0:
-        return u.reshape(-1), 0.0
-    vec = ((uu[:, :kk] * (s[:kk] / gain)) @ vh[:kk, :]).reshape(-1)
-    return vec, gain
+    uu, s, vh = svd(u.reshape(*u.shape[:-1], m, n))
+    kk = min(k, s.shape[-1])
+    lead = s[..., :kk]
+    gains = np.sqrt(np.vecdot(lead, lead))
+    live = gains > 0.0
+    weights = lead / np.where(live, gains, 1.0)[..., None]
+    vecs = ((uu[..., :kk] * weights[..., None, :]) @ vh[..., :kk, :]).reshape(u.shape)
+    return np.where(live[..., None], vecs, u), gains
 
 
 def s_k_norm(v: PureState, k: int) -> float:

@@ -26,6 +26,7 @@ therefore a bracket on either quantity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,12 +123,15 @@ def _basis_product_vec(m: int, n: int) -> np.ndarray:
     return vec
 
 
-def _random_sr_vec(rng: np.random.Generator, m: int, n: int, k: int) -> np.ndarray:
-    g = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-    vec, gain = _truncate_raw(g.reshape(-1), m, n, k)
-    if gain <= 0.0:  # vanishing Gaussian draw; practically unreachable
-        return _basis_product_vec(m, n)
-    return vec
+def _sr_unit_vectors(draws: np.ndarray, m: int, n: int, k: int) -> np.ndarray:
+    """Unit Schmidt-rank-<=k truncations of the rows of draws, (..., m*n).
+
+    A row with no Schmidt weight (a vanishing Gaussian draw, practically
+    unreachable) becomes the product basis vector.
+    """
+    vecs, gains = _truncate_raw(draws, m, n, k)
+    vecs[gains <= 0.0] = _basis_product_vec(m, n)
+    return vecs
 
 
 def seesaw_lower(
@@ -143,56 +147,80 @@ def seesaw_lower(
     alternates v <- trunc_k(Xw), w <- trunc_k(X^dag v), both normalized; each
     half-step maximizes the objective exactly for the other side fixed, so
     the trace is nondecreasing.  A restart stops once a full step gains at
-    most SEESAW_TOL * max(1, objective), else after max_iter steps with
-    converged=False.  Restart r draws from a stream derived from (seed, r),
-    which makes the result independent of evaluation order.
+    most SEESAW_TOL * max(1, objective), once a truncation keeps no
+    Schmidt weight, or after max_iter steps with converged=False.  Restart
+    r draws from a stream derived from (seed, r), which makes the result
+    independent of how the restarts are evaluated; ties go to the lowest
+    restart.
+
+    All restarts advance together: the live ones form one stack, so a
+    half-step is one matrix product and one stacked Schmidt truncation, and
+    a per-restart mask retires each restart where it stops.  The iteration
+    runs on x / 2^e, with 2^e the power of two just above its largest entry,
+    and every gain is scaled back exactly before the stopping test, so no
+    input scale overflows the Schmidt norms.
     """
     m, n = x.dims
     _check_k(m, n, k)
     _check_budgets(restarts, max_iter, seed)
-    mat = x.mat
-
-    if float(np.max(np.abs(mat))) == 0.0:
+    peak = float(np.max(np.abs(x.mat)))
+    if peak == 0.0:
         v0 = pure_state(_basis_product_vec(m, n), m, n)
         return SeeSawResult(v0, v0, 0.0, 0, True, seed, ())
 
-    best: tuple[float, np.ndarray, np.ndarray, int, bool, tuple[float, ...]] | None = None
+    e = math.frexp(peak)[1]
+    mat = np.ldexp(np.ascontiguousarray(x.mat).view(np.float64), -e).view(np.complex128)
+    adjoint = mat.conj().T
+
+    draws = np.empty((restarts, m * n), dtype=np.complex128)
     for ridx in range(restarts):
         rng = np.random.default_rng([seed, ridx])
-        w = _random_sr_vec(rng, m, n, k)
-        v = _basis_product_vec(m, n)
-        trace: list[float] = []
-        prev = -np.inf
-        converged = False
-        iterations = 0
-        for iterations in range(1, max_iter + 1):
-            u = mat @ w
-            v_new, gain1 = _truncate_raw(u, m, n, k)
-            if gain1 <= 0.0:
-                converged = True
-                break
-            v = v_new
-            trace.append(gain1)
-            u2 = mat.conj().T @ v
-            w_new, gain2 = _truncate_raw(u2, m, n, k)
-            if gain2 <= 0.0:
-                converged = True
-                break
-            w = w_new
-            trace.append(gain2)
-            if gain2 - prev <= SEESAW_TOL * max(1.0, gain2):
-                converged = True
-                break
-            prev = gain2
-        value = float(abs(np.vdot(v, mat @ w)))
-        if best is None or value > best[0]:
-            best = (value, v, w, iterations, converged, tuple(trace))
+        draws[ridx] = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))).reshape(-1)
+    w = _sr_unit_vectors(draws, m, n, k)
+    v = np.tile(_basis_product_vec(m, n), (restarts, 1))
 
-    value, v, w, iterations, converged, trace = best
+    live = np.arange(restarts)
+    iterations = np.zeros(restarts, dtype=np.int64)
+    converged = np.zeros(restarts, dtype=bool)
+    prev = np.full(restarts, -np.inf)
+    # Per step, the (restarts, 2) half-step gains; a restart's recorded
+    # gains are positive and form a prefix, its unrecorded ones are 0.
+    gains: list[np.ndarray] = []
+
+    def half_step(op: np.ndarray, src: np.ndarray, dst: np.ndarray, slot: int) -> np.ndarray:
+        # dst <- trunc_k(op src) on the live restarts; one whose truncation
+        # keeps no Schmidt weight keeps its dst and retires converged.
+        nonlocal live
+        new, g = _truncate_raw((op @ src[live, :, None])[..., 0], m, n, k)
+        g = np.ldexp(g, e)
+        moved = g > 0.0
+        converged[live[~moved]] = True
+        live, g = live[moved], g[moved]
+        dst[live] = new[moved]
+        gains[-1][live, slot] = g
+        return g
+
+    for step in range(1, max_iter + 1):
+        iterations[live] = step
+        gains.append(np.zeros((restarts, 2)))
+        half_step(mat, w, v, 0)
+        g2 = half_step(adjoint, v, w, 1)
+        stop = g2 - prev[live] <= SEESAW_TOL * np.maximum(1.0, g2)
+        converged[live[stop]] = True
+        prev[live] = g2
+        live = live[~stop]
+        if live.size == 0:
+            break
+
+    values = np.ldexp(np.abs(np.vecdot(v, (mat @ w[..., None])[..., 0])), e)
+    best = int(np.argmax(values))
+    trace = np.stack(gains)[:, best, :].reshape(-1)
+    trace = trace[trace > 0.0]
     return SeeSawResult(
-        pure_state(v, m, n, require_normalized=False),
-        pure_state(w, m, n, require_normalized=False),
-        value, iterations, converged, seed, trace,
+        pure_state(v[best], m, n, require_normalized=False),
+        pure_state(w[best], m, n, require_normalized=False),
+        float(values[best]), int(iterations[best]), bool(converged[best]), seed,
+        tuple(trace.tolist()),
     )
 
 
@@ -244,9 +272,8 @@ def _sk_bounds_full(
         # operator norm; the optimal pair is the leading singular pair.
         closed = (u[:, 0], vh[0, :].conj(), float(s[0]), "operator_norm_exact")
     elif s.size == 1 or s[1] <= SINGULAR_ZERO_RTOL * s[0]:
-        v_vec, gv = _truncate_raw(u[:, 0], m, n, k)
-        w_vec, gw = _truncate_raw(vh[0, :].conj(), m, n, k)
-        closed = (v_vec, w_vec, float(s[0] * gv * gw), "rank_one_exact")
+        vecs, g = _truncate_raw(np.stack([u[:, 0], vh[0, :].conj()]), m, n, k)
+        closed = (vecs[0], vecs[1], float(s[0] * g[0] * g[1]), "rank_one_exact")
     if closed is not None:
         v_vec, w_vec, value, tag = closed
         pair = SeeSawResult(

@@ -208,3 +208,64 @@ def local_filter_ref(rho, m, n, max_iter=200, tol=1e-9, support_rtol=1e-12):
         lift = np.kron(np.eye(m), step_b)
         work = renormalize(lift @ work @ lift.conj().T)
         f_b = step_b @ f_b
+
+
+def _truncate_ref(u, m, n, k):
+    """Unit top-k Schmidt truncation of one vector and its gain."""
+    uu, s, vh = np.linalg.svd(u.reshape(m, n), full_matrices=False)
+    kk = min(k, s.size)
+    gain = float(np.linalg.norm(s[:kk]))
+    if gain <= 0.0:
+        return u.reshape(-1), 0.0
+    return ((uu[:, :kk] * (s[:kk] / gain)) @ vh[:kk, :]).reshape(-1), gain
+
+
+def random_sr_vec_ref(rng, m, n, k):
+    """One Schmidt-truncated complex Gaussian, real part drawn first."""
+    g = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    vec, gain = _truncate_ref(g.reshape(-1), m, n, k)
+    if gain <= 0.0:
+        vec = np.zeros(m * n, dtype=complex)
+        vec[0] = 1.0
+    return vec
+
+
+def seesaw_loop_ref(mat, m, n, k, restarts, max_iter, seed, tol):
+    """The S(k) see-saw one restart at a time, on the unscaled matrix.
+
+    Restart r starts from random_sr_vec_ref(default_rng([seed, r])) and
+    alternates v <- trunc_k(X w), w <- trunc_k(X^dag v) until a half-step
+    has zero gain, a full step gains at most tol * max(1, gain), or
+    max_iter steps ran.  Returns (value, iterations, converged, trace) of
+    the first restart with the largest |<v|X|w>|.
+    """
+    best = None
+    for ridx in range(restarts):
+        rng = np.random.default_rng([seed, ridx])
+        w = random_sr_vec_ref(rng, m, n, k)
+        v = np.zeros(m * n, dtype=complex)
+        v[0] = 1.0
+        trace = []
+        prev = -np.inf
+        converged = False
+        for iterations in range(1, max_iter + 1):
+            v_new, gain1 = _truncate_ref(mat @ w, m, n, k)
+            if gain1 <= 0.0:
+                converged = True
+                break
+            v = v_new
+            trace.append(gain1)
+            w_new, gain2 = _truncate_ref(mat.conj().T @ v, m, n, k)
+            if gain2 <= 0.0:
+                converged = True
+                break
+            w = w_new
+            trace.append(gain2)
+            if gain2 - prev <= tol * max(1.0, gain2):
+                converged = True
+                break
+            prev = gain2
+        value = float(abs(np.vdot(v, mat @ w)))
+        if best is None or value > best[0]:
+            best = (value, iterations, converged, tuple(trace))
+    return best

@@ -29,6 +29,7 @@ from entnorms.linalg import bipartite
 from entnorms.schmidt import pure_state, s_k_dual, schmidt_decompose
 from entnorms.sknorm import NormInterval, sk_elementary, sk_pure
 from entnorms.states import EnsembleSpec, generate, sn_bounded_ensemble
+from oracles import random_sr_vec_ref
 
 SQ7 = np.sqrt(0.7)
 SQ3 = np.sqrt(0.3)
@@ -550,3 +551,33 @@ def test_rank_one_closed_forms_share_one_cutoff(ratio, closed):
         gb = gamma_bounds(x, k)
         assert (sk.upper_method == "rank_one_exact") == closed
         assert (gb.upper_method == "rank_one_exact") == closed
+
+
+def test_residual_stays_finite_at_huge_scale():
+    # Squaring entries near 1e300 overflowed the Frobenius norm to inf.
+    scale = 1e300
+    rho = generate(EnsembleSpec("ginibre_density", 2, 2, seed=3))
+    _, unit = decomposition_oracle(rho, 1)
+    _, huge = decomposition_oracle(bipartite(scale * rho.mat, 2, 2), 1)
+    assert np.isfinite(huge.residual)
+    assert abs(huge.residual - scale * unit.residual) <= 1e-12 * scale
+    # an order-one residual scales to rounding level
+    x = projector(two_term_state())
+    lefts = np.eye(4, dtype=complex)[:1]
+    big_x = bipartite(scale * x.mat, 2, 2)
+    big = build_decomposition(np.array([0.7 * scale]), lefts, lefts, 2, 2, 1, big_x)
+    assert abs(big.residual - scale * np.sqrt(0.51)) <= 1e-12 * scale * np.sqrt(0.51)
+
+
+@pytest.mark.parametrize("dims, k", [((2, 2), 1), ((2, 3), 1), ((3, 3), 2), ((3, 4), 2)])
+def test_random_pairs_reproduce_the_sequential_stream(dims, k):
+    m, n = dims
+    lefts, rights = dualnorms._random_pairs(np.random.default_rng(5), 40, m, n, k)
+    rng = np.random.default_rng(5)
+    for left, right in zip(lefts, rights):
+        ref_left = random_sr_vec_ref(rng, m, n, k)
+        ref_right = random_sr_vec_ref(rng, m, n, k)
+        if k == 1:
+            assert np.array_equal(left, ref_left) and np.array_equal(right, ref_right)
+        assert np.max(np.abs(left - ref_left)) <= 1e-15
+        assert np.max(np.abs(right - ref_right)) <= 1e-15

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from entnorms.errors import ParameterError, PreconditionError
-from entnorms.linalg import bipartite, swap_operator
+from entnorms.errors import NumericalError, ParameterError, PreconditionError
+from entnorms.linalg import bipartite, inject_svd_failure, swap_operator
 from entnorms.schmidt import pure_state, schmidt_rank
 from entnorms.sknorm import (
+    SEESAW_TOL,
     NormInterval,
     _finish_interval,
     block_positivity_check,
@@ -16,6 +17,7 @@ from entnorms.sknorm import (
     sk_pure,
 )
 from entnorms.states import EnsembleSpec, generate
+from oracles import seesaw_loop_ref
 
 SQ7 = np.sqrt(0.7)
 SQ3 = np.sqrt(0.3)
@@ -311,3 +313,62 @@ def test_block_positivity_verdicts_do_not_depend_on_scale(scale):
         y = bipartite(scale * mat, d, d)
         for k, verdict in verdicts.items():
             assert block_positivity_check(y, k).verdict == verdict
+
+
+def _seesaw_cases():
+    rng = np.random.default_rng(31)
+    for m, n in ((2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 3), (4, 4)):
+        d = m * n
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        a = rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2))
+        for kind, mat in (("general", g), ("psd", g @ g.conj().T), ("rank2", a @ a.conj().T)):
+            for k in range(1, min(m, n)):
+                yield pytest.param(mat, m, n, k, id=f"{m}x{n}-{kind}-k{k}")
+
+
+@pytest.mark.parametrize("mat, m, n, k", list(_seesaw_cases()))
+@pytest.mark.parametrize("restarts, max_iter", [(1, 200), (6, 200), (4, 1)])
+def test_seesaw_matches_the_per_restart_loop(mat, m, n, k, restarts, max_iter):
+    res = seesaw_lower(bipartite(mat, m, n), k, restarts=restarts, max_iter=max_iter, seed=7)
+    value, iterations, converged, trace = seesaw_loop_ref(
+        mat, m, n, k, restarts, max_iter, 7, SEESAW_TOL)
+    assert abs(res.value - value) <= 1e-12 * value
+    assert (res.iterations, res.converged) == (iterations, converged)
+    assert len(res.objective_trace) == len(trace)
+    assert np.allclose(res.objective_trace, trace, rtol=1e-12, atol=0.0)
+    if max_iter == 1:
+        assert res.iterations == 1
+
+
+def test_seesaw_reports_an_exhausted_budget():
+    rng = np.random.default_rng(4)
+    g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    res = seesaw_lower(bipartite(g, 4, 4), 2, restarts=3, max_iter=2, seed=0)
+    ref = seesaw_loop_ref(g, 4, 4, 2, 3, 2, 0, SEESAW_TOL)
+    assert not res.converged
+    assert (res.iterations, len(res.objective_trace)) == (2, 4)
+    assert abs(res.value - ref[0]) <= 1e-12 * ref[0]
+    assert (res.iterations, res.converged) == ref[1:3]
+
+
+def test_seesaw_raises_on_svd_failure():
+    x = bipartite(np.diag(np.arange(1.0, 5.0)), 2, 2)
+    inject_svd_failure(True)
+    try:
+        with pytest.raises(NumericalError):
+            seesaw_lower(x, 1, restarts=2)
+    finally:
+        inject_svd_failure(False)
+
+
+def test_sk_bounds_see_saw_survives_huge_scale():
+    # Squared Schmidt coefficients of x * 1e200 overflowed, and the see-saw
+    # lower endpoint collapsed to 0.
+    scale = 1e200
+    rho = generate(EnsembleSpec("ginibre_density", 3, 3, seed=0))
+    base = sk_bounds(rho, 1)
+    huge = bipartite(scale * rho.mat, 3, 3)
+    res = sk_bounds(huge, 1)
+    assert res.lower_method == "seesaw"
+    assert abs(res.lower / scale - base.lower) <= 1e-8 * base.lower
+    assert prod_radius_bounds(huge, 1).lower_method == "seesaw"
