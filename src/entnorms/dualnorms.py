@@ -16,7 +16,7 @@ operators and at k = min(dims), and otherwise bracketed:
                  rank-one closed form, and a sampled linear program over
                  Schmidt-truncated generators, the one place scipy is
                  used (HiGHS through `linprog`, imported on the first
-                 solve).
+                 solve, with presolve off: the program is dense).
 
 The realignment witness is W = L^-1(Y) for the unit-(k^2,2)-norm matrix Y
 attaining k2_dual(L(x), k^2); as L permutes entries, <W, x> = <Y, L(x)>.
@@ -47,6 +47,7 @@ DENSITY_TRACE_ATOL = 1e-9
 DEFAULT_CERTIFY_TOL = 1e-9
 
 _LP_OPTIONS = {
+    "presolve": False,
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
@@ -59,6 +60,13 @@ def linprog(c: np.ndarray, A_eq: np.ndarray, b_eq: np.ndarray):
     scipy.optimize is imported on the first call, not with this module:
     only the LP oracle solves a program, and loading the solver takes most
     of the time of a cold `import entnorms`.
+
+    HiGHS presolve is off.  The oracle's equality system has one row per
+    real and imaginary entry of x over dense generator columns, so presolve
+    finds nothing to remove yet took most of each solve: on a 2-vCPU Xeon
+    the 512 x 512 program of a 4x4 density at k = 2 solves in about 0.27 s
+    instead of 0.69 s, to the same objective.  scipy reads only a bool
+    here; it warns about a string such as "off" and keeps presolve on.
     """
     import scipy.optimize
 
@@ -409,19 +417,10 @@ def decomposition_oracle(
 
     res = solve(lefts, rights)
     if res.status != 0 or res.x is None:
-        unit_lefts = []
-        unit_rights = []
-        for a in range(d):
-            for b in range(d):
-                ea = np.zeros(d, dtype=np.complex128)
-                eb = np.zeros(d, dtype=np.complex128)
-                phase = np.exp(1j * np.angle(x.mat[a, b])) if x.mat[a, b] != 0 else 1.0
-                ea[a] = phase
-                eb[b] = 1.0
-                unit_lefts.append(ea)
-                unit_rights.append(eb)
-        lefts = np.vstack([lefts, np.array(unit_lefts)])
-        rights = np.vstack([rights, np.array(unit_rights)])
+        # Matrix unit a*d + b is phase(x_ab) e_a e_b^dag, row-major over (a, b).
+        phases = np.where(x.mat != 0, np.exp(1j * np.angle(x.mat)), 1.0).reshape(-1)
+        lefts = np.vstack([lefts, np.repeat(np.eye(d), d, axis=0) * phases[:, None]])
+        rights = np.vstack([rights, np.tile(np.eye(d), (d, 1))])
         res = solve(lefts, rights)
         if res.status != 0 or res.x is None:
             raise InfeasibleError(

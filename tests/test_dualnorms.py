@@ -1,4 +1,5 @@
 import inspect
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -188,6 +189,91 @@ def test_oracle_raises_when_both_solves_fail(monkeypatch):
 def test_linprog_seam_keeps_its_a_eq_parameter():
     # The traced benchmark reads the LP size off this argument by name.
     assert "A_eq" in inspect.signature(dualnorms.linprog).parameters
+
+
+def test_retry_columns_are_the_phased_matrix_units(monkeypatch):
+    # Retry column a*d + b is phase(x_ab) e_a e_b^dag; a zero entry, signed
+    # or not, takes phase 1.
+    mat = np.array(generate(EnsembleSpec("ginibre_density", 2, 2, seed=0)).mat)
+    mat[0, 3] = mat[3, 0] = 0.0
+    mat[1, 2] = mat[2, 1] = -0.0
+    programs = []
+    solver = dualnorms.linprog
+
+    def fail_once(c, A_eq, b_eq):
+        programs.append(A_eq)
+        if len(programs) == 1:
+            return failed_solve()
+        return solver(c, A_eq, b_eq)
+
+    monkeypatch.setattr(dualnorms, "linprog", fail_once)
+    decomposition_oracle(bipartite(mat, 2, 2), 1, budget=32, seed=0)
+    a_eq = programs[1]
+    block = a_eq[:16, 32:] + 1j * a_eq[16:, 32:]
+    expected = np.zeros((16, 16), dtype=complex)
+    for a in range(4):
+        for b in range(4):
+            z = mat[a, b]
+            expected[4 * a + b, 4 * a + b] = z / abs(z) if z != 0 else 1.0
+    assert np.allclose(block, expected, rtol=0.0, atol=1e-15)
+
+
+def test_lp_options_are_all_accepted_by_scipy():
+    # scipy warns about an option value it cannot read and then ignores it:
+    # presolve given as the string "off" would silently stay on.
+    import scipy.optimize  # noqa: F401  imported first: only the solve runs under the filter
+
+    assert dualnorms._LP_OPTIONS["presolve"] is False
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = dualnorms.linprog(np.ones(2), np.ones((1, 2)), np.ones(1))
+    assert res.status == 0 and abs(res.fun - 1.0) < 1e-12
+
+
+def _ginibre(m, n, scale=1.0):
+    rho = generate(EnsembleSpec("ginibre_density", m, n, seed=3))
+    return bipartite(scale * rho.mat, m, n)
+
+
+@pytest.mark.parametrize(
+    "make, k, budget, fail_first",
+    [
+        (lambda: _ginibre(2, 2), 1, 32, False),
+        (lambda: _ginibre(3, 3), 1, 162, False),
+        (lambda: _ginibre(4, 4), 2, 512, False),
+        (lambda: generate(EnsembleSpec("isotropic", 3, 3, p=0.2)), 1, 162, False),
+        (lambda: projector(generate(EnsembleSpec("haar_pure", 3, 3, seed=3))), 1, 162, False),
+        (lambda: _ginibre(3, 3), 1, 2000, False),
+        (lambda: _ginibre(2, 2), 1, 32, True),
+        (lambda: _ginibre(3, 3, 1e-12), 1, 162, False),
+        (lambda: _ginibre(3, 3, 1e12), 1, 162, False),
+    ],
+    ids=["2x2", "3x3", "4x4-k2", "isotropic", "haar-projector", "3x3-budget2000",
+         "unit-column-retry", "scale1e-12", "scale1e12"],
+)
+def test_lp_settings_reach_the_default_highs_optimum(monkeypatch, make, k, budget, fail_first):
+    # Presolve is off in _LP_OPTIONS; scipy's default settings keep it on.
+    import scipy.optimize
+
+    calls = []
+    programs = []
+    solver = dualnorms.linprog
+
+    def recording(c, A_eq, b_eq):
+        calls.append(A_eq.shape)
+        if fail_first and len(calls) == 1:
+            return failed_solve()
+        res = solver(c, A_eq, b_eq)
+        programs.append((c, A_eq, b_eq, res))
+        return res
+
+    monkeypatch.setattr(dualnorms, "linprog", recording)
+    decomposition_oracle(make(), k, budget=budget)
+    assert len(calls) == (2 if fail_first else 1) and len(programs) == 1
+    c, a_eq, b_eq, res = programs[0]
+    ref = scipy.optimize.linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert res.status == 0 and ref.status == 0
+    assert abs(res.fun - ref.fun) <= 1e-9 * abs(ref.fun)
 
 
 def test_decomposition_validation_and_reconstruct():
