@@ -34,9 +34,10 @@ DEFAULT_KRON_CAP = 4096
 # zero: they decide rank one, cut spectral sums and clamp (k,2) profiles.
 SINGULAR_ZERO_RTOL = 1e-14
 
-# Testing hook: when set, svd() raises NumericalError.  Used by the CLI's
-# --inject-svd-failure flag to exercise the numerical-failure exit path; an
-# svd already cached on an operator is not recomputed, so it does not fail.
+# Testing hook: when set, svd() and the stacked eigh of _top_eigenpairs()
+# raise NumericalError.  Used by the CLI's --inject-svd-failure flag to
+# exercise the numerical-failure exit path; an svd already cached on an
+# operator is not recomputed, so it does not fail.
 _SVD_FAILURE_INJECTED = False
 
 
@@ -225,6 +226,23 @@ def eig_hermitian(mat) -> tuple[np.ndarray, np.ndarray]:
         raise NumericalError(f"eigh did not converge: {exc}") from exc
     order = np.argsort(w)[::-1]
     return np.real(w[order]), v[:, order]
+
+
+def _top_eigenpairs(forms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest eigenvalue and a unit eigenvector of each hermitian matrix in
+    a stack (..., d, d), from one stacked eigh: shapes (...) and (..., d).
+
+    Only the lower triangles are read, and nothing is validated: the
+    callers build the stack as hermitian forms.  The svd failure hook fails
+    this call too.
+    """
+    if _SVD_FAILURE_INJECTED:
+        raise NumericalError("eigh failure injected by testing hook")
+    try:
+        w, v = np.linalg.eigh(forms)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigh did not converge: {exc}") from exc
+    return w[..., -1], v[..., -1]
 
 
 class MatrixNorms(NamedTuple):

@@ -6,11 +6,18 @@ For a bipartite operator X and a hermitian operator y,
     radius_k(y) = sup |<v|y|v>|  over unit v of Schmidt rank <= k.
 
 Neither supremum is efficiently computable in general, so this module
-produces certified two-sided bounds.  Lower bounds come from alternating
-maximization (see-saw): for fixed w the optimal v is the normalized
-Schmidt truncation of Xw, and symmetrically, so the objective never
-decreases.  Upper bounds come from the operator norm, with closed forms on
-rank-one inputs and at k = min(dims).  The see-saw stops at SEESAW_TOL.
+produces certified two-sided bounds.  Upper bounds come from the operator
+norm, with closed forms on rank-one inputs and at k = min(dims).  Lower
+bounds come from one of two kernels, both of which stop at SEESAW_TOL and
+evaluate their final pair explicitly:
+
+- the bilinear see-saw seesaw_lower, for the S(k) norm of any operator:
+  for fixed w the optimal v is the normalized Schmidt truncation of Xw,
+  and symmetrically, so the objective never decreases;
+- the Rayleigh ascent _rayleigh_ascent, for block positivity and the
+  radius, whose shifted operators below are PSD: with v = vec(A B^T), each
+  step sets A (then B) to the top eigenvector of a small km x km (kn x kn)
+  form, an exact block step that the shift does not slow down.
 
 Block positivity and the radius both reduce to the S(k) norm of a shifted
 operator.  For hermitian z with c = lambda_max(z), cI - z is PSD, and on
@@ -21,7 +28,7 @@ when c >= |cI - y|_S(k), and
     radius_k(y) = max over sigma = +/-1 of |c_s I - sigma y|_S(k) - c_s,
 
 with c_s = lambda_max(sigma y).  Each bracket on the shifted S(k) norm is
-therefore a bracket on either quantity.
+therefore a bracket on either quantity, and its pair a certificate.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import numpy as np
 
 from .errors import ParameterError, PreconditionError
 from .kyfan import _check_k
-from .linalg import SINGULAR_ZERO_RTOL, BipartiteOperator, svd
+from .linalg import SINGULAR_ZERO_RTOL, BipartiteOperator, _top_eigenpairs, svd
 from .schmidt import PureState, _truncate_raw, pure_state
 
 EXACTNESS_RTOL = 1e-9
@@ -134,6 +141,23 @@ def _sr_unit_vectors(draws: np.ndarray, m: int, n: int, k: int) -> np.ndarray:
     return vecs
 
 
+def _scaled(x: BipartiteOperator) -> tuple[np.ndarray, int]:
+    """x / 2^e and e, with 2^e the power of two just above x's largest
+    entry; the division is exact."""
+    e = math.frexp(float(np.max(np.abs(x.mat))))[1]
+    return np.ldexp(np.ascontiguousarray(x.mat).view(np.float64), -e).view(np.complex128), e
+
+
+def _start_vectors(m: int, n: int, k: int, restarts: int, seed: int) -> np.ndarray:
+    """The (restarts, m*n) unit Schmidt-rank-<=k starts: restart r
+    truncates a complex Gaussian drawn from default_rng([seed, r])."""
+    draws = np.empty((restarts, m * n), dtype=np.complex128)
+    for ridx in range(restarts):
+        rng = np.random.default_rng([seed, ridx])
+        draws[ridx] = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))).reshape(-1)
+    return _sr_unit_vectors(draws, m, n, k)
+
+
 def seesaw_lower(
     x: BipartiteOperator,
     k: int,
@@ -163,20 +187,13 @@ def seesaw_lower(
     m, n = x.dims
     _check_k(m, n, k)
     _check_budgets(restarts, max_iter, seed)
-    peak = float(np.max(np.abs(x.mat)))
-    if peak == 0.0:
+    mat, e = _scaled(x)
+    if not mat.any():
         v0 = pure_state(_basis_product_vec(m, n), m, n)
         return SeeSawResult(v0, v0, 0.0, 0, True, seed, ())
 
-    e = math.frexp(peak)[1]
-    mat = np.ldexp(np.ascontiguousarray(x.mat).view(np.float64), -e).view(np.complex128)
     adjoint = mat.conj().T
-
-    draws = np.empty((restarts, m * n), dtype=np.complex128)
-    for ridx in range(restarts):
-        rng = np.random.default_rng([seed, ridx])
-        draws[ridx] = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))).reshape(-1)
-    w = _sr_unit_vectors(draws, m, n, k)
+    w = _start_vectors(m, n, k, restarts, seed)
     v = np.tile(_basis_product_vec(m, n), (restarts, 1))
 
     live = np.arange(restarts)
@@ -224,6 +241,92 @@ def seesaw_lower(
     )
 
 
+def _reduced_forms(flat: np.ndarray, p: int, q: int, frames: np.ndarray) -> np.ndarray:
+    """(I (x) F)^dag x (I (x) F) for each q x k frame F of a stack.
+
+    flat is the (p*q*p, q) view of an operator on C^p (x) C^q; the
+    (R, p*k, p*k) forms come from two stacked matrix products.
+    """
+    r, _, k = frames.shape
+    half = (flat @ frames).reshape(r, p, q, p * k)
+    return (frames.conj().transpose(0, 2, 1)[:, None] @ half).reshape(r, p * k, p * k)
+
+
+def _orthonormal(blocks: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning each block of a (R, p, k) stack."""
+    if blocks.shape[-1] == 1:
+        return blocks / np.linalg.norm(blocks, axis=1, keepdims=True)
+    return np.linalg.qr(blocks)[0]
+
+
+def _rayleigh_ascent(
+    x: BipartiteOperator, k: int, restarts: int, max_iter: int, seed: int
+) -> SeeSawResult:
+    """Lower bound on max <v|x|v> over unit v of Schmidt rank <= k, which
+    is |x|_S(k) for hermitian PSD x, by exact block-coordinate ascent.
+
+    v = vec(A B^T) with A m x k and B n x k.  For B with orthonormal
+    columns, I (x) B is an isometry, so the best A is the top eigenvector
+    of the km x km form (I (x) B)^dag x (I (x) B) and its eigenvalue is the
+    objective; A is then orthonormalized, which keeps v's span, and B gets
+    the same step on the kn side.  Both steps are exact, so the trace is
+    nondecreasing, and the forms of cI - z are cI minus those of z: unlike
+    the power steps of seesaw_lower, a step does not slow down as the
+    shift c grows.
+
+    The starts, restart streams, live-restart mask, ties and x / 2^e
+    iteration are seesaw_lower's.  The stop form is too, with x's largest
+    entry in place of the 1: a step stops once it gains at most
+    SEESAW_TOL * max(largest entry, objective), both read on x / 2^e, so
+    the test is homogeneous and iteration counts do not depend on the
+    input's scale.  value is |<v|x|v>| of the returned vector, a sound
+    lower bound for any x.
+    """
+    m, n = x.dims
+    mat, e = _scaled(x)
+    unit = float(np.max(np.abs(mat)))
+    x4 = mat.reshape(m, n, m, n)
+    flat_a = x4.reshape(m * n * m, n)
+    flat_b = np.ascontiguousarray(x4.transpose(1, 0, 3, 2)).reshape(n * m * n, m)
+
+    vh = svd(_start_vectors(m, n, k, restarts, seed).reshape(restarts, m, n))[2]
+    frame_b = np.ascontiguousarray(vh[:, :k, :].transpose(0, 2, 1))
+    frame_a = np.empty((restarts, m, k), dtype=np.complex128)
+    block_b = np.empty((restarts, n, k), dtype=np.complex128)
+
+    live = np.arange(restarts)
+    iterations = np.zeros(restarts, dtype=np.int64)
+    converged = np.zeros(restarts, dtype=bool)
+    prev = np.full(restarts, -np.inf)
+    gains: list[np.ndarray] = []  # per step, the (restarts, 2) objectives
+    for step in range(1, max_iter + 1):
+        iterations[live] = step
+        g1, a = _top_eigenpairs(_reduced_forms(flat_a, m, n, frame_b[live]))
+        q_a = _orthonormal(a.reshape(-1, m, k))
+        g2, b = _top_eigenpairs(_reduced_forms(flat_b, n, m, q_a))
+        frame_a[live] = q_a
+        block_b[live] = b.reshape(-1, n, k)
+        gains.append(np.zeros((restarts, 2)))
+        gains[-1][live] = np.stack([g1, g2], axis=-1)
+        stop = g2 - prev[live] <= SEESAW_TOL * np.maximum(unit, g2)
+        converged[live[stop]] = True
+        prev[live] = g2
+        live = live[~stop]
+        if live.size == 0:
+            break
+        frame_b[live] = _orthonormal(block_b[live])
+
+    vecs = (frame_a @ block_b.transpose(0, 2, 1)).reshape(restarts, m * n)
+    values = np.ldexp(np.abs(np.vecdot(vecs, (mat @ vecs[..., None])[..., 0])), e)
+    best = int(np.argmax(values))
+    trace = np.ldexp(np.stack(gains)[: iterations[best], best].reshape(-1), e)
+    v = pure_state(vecs[best], m, n, require_normalized=False)
+    return SeeSawResult(
+        v, v, float(values[best]), int(iterations[best]), bool(converged[best]), seed,
+        tuple(trace.tolist()),
+    )
+
+
 def sk_pure(v: PureState, k: int) -> float:
     """S(k) norm of the projector |v><v|: sum of the k leading squared Schmidt
     coefficients of v.  Homogeneous of degree 2 in v."""
@@ -249,12 +352,15 @@ def _sk_bounds_full(
     max_iter: int,
     seed: int,
     skip_seesaw_at: float | None = None,
+    psd: bool = False,
 ) -> NormInterval:
     """Bounds on |x|_S(k), certified by the pair achieving the lower bound.
 
-    The see-saw is skipped when the operator-norm upper bound is at or
-    below skip_seesaw_at, where the caller's question is already decided;
-    the reported lower endpoint is then the trivial 0 with no certificate.
+    The lower search is seesaw_lower, or _rayleigh_ascent when the caller
+    guarantees that x is PSD; both are tagged "seesaw".  It is skipped when
+    the operator-norm upper bound is at or below skip_seesaw_at, where the
+    caller's question is already decided; the reported lower endpoint is
+    then the trivial 0 with no certificate.
     """
     m, n = x.dims
     _check_k(m, n, k)
@@ -267,12 +373,15 @@ def _sk_bounds_full(
         return _exact_interval(0.0, "zero_operator", pair)
 
     closed = None
+    # On PSD x the leading right singular vector is the left one, so the
+    # pair is one vector.
+    right = u[:, 0] if psd else vh[0, :].conj()
     if k == min(m, n):
         # At maximal k the restriction is vacuous and the norm is the
         # operator norm; the optimal pair is the leading singular pair.
-        closed = (u[:, 0], vh[0, :].conj(), float(s[0]), "operator_norm_exact")
+        closed = (u[:, 0], right, float(s[0]), "operator_norm_exact")
     elif s.size == 1 or s[1] <= SINGULAR_ZERO_RTOL * s[0]:
-        vecs, g = _truncate_raw(np.stack([u[:, 0], vh[0, :].conj()]), m, n, k)
+        vecs, g = _truncate_raw(np.stack([u[:, 0], right]), m, n, k)
         closed = (vecs[0], vecs[1], float(s[0] * g[0] * g[1]), "rank_one_exact")
     if closed is not None:
         v_vec, w_vec, value, tag = closed
@@ -287,7 +396,8 @@ def _sk_bounds_full(
     if skip_seesaw_at is not None and upper <= skip_seesaw_at:
         return NormInterval(0.0, upper, "trivial", "operator_norm", False)
 
-    ss = seesaw_lower(x, k, restarts=restarts, max_iter=max_iter, seed=seed)
+    search = _rayleigh_ascent if psd else seesaw_lower
+    ss = search(x, k, restarts=restarts, max_iter=max_iter, seed=seed)
     return _finish_interval(ss.value, upper, "seesaw", "operator_norm", ss)
 
 
@@ -320,7 +430,8 @@ def _shifted_sk(
     """c = lambda_max(z) for z = sign * y, and the S(k) bracket of the PSD
     operator cI - z, certified by the pair attaining its lower endpoint.
 
-    The see-saw is skipped when the operator-norm bound is at most c + margin.
+    The Rayleigh ascent is skipped when the operator-norm bound is at most
+    c + margin.
     """
     m, n = y.dims
     lam = y.eigh[0]
@@ -328,7 +439,7 @@ def _shifted_sk(
     x_mat = c * np.eye(m * n, dtype=np.complex128) - sign * y.mat
     x_mat = (x_mat + x_mat.conj().T) / 2.0
     x = BipartiteOperator(x_mat, m, n, hermitian=True)
-    return c, _sk_bounds_full(x, k, restarts, max_iter, seed, c + margin)
+    return c, _sk_bounds_full(x, k, restarts, max_iter, seed, c + margin, psd=True)
 
 
 def prod_radius_bounds(
@@ -348,22 +459,25 @@ def prod_radius_bounds(
     forms of sk_bounds apply per sign, so the bracket is exact whenever
     the winning sign's shifted operator is rank one or k = min(dims).  The
     sign with the larger reach lambda_max(-sigma y) goes first, and a sign
-    runs its see-saw only when its upper bound could beat the best lower
-    bound so far.
+    runs its Rayleigh ascent only when its upper bound could beat the best
+    lower bound so far.  The certificate is the winning sign's pair, whose
+    pairing with c_s I - sigma y, minus c_s, is the lower endpoint; it is
+    None when the product basis wins.
     """
     if not y.hermitian:
         raise PreconditionError("prod_radius_bounds requires a hermitian operator")
     lam = y.eigh[0]
     opn = float(max(abs(lam[0]), abs(lam[-1])))
-    lowers = [(float(np.max(np.abs(np.real(np.diag(y.mat))))), "product_basis")]
+    lowers = [(float(np.max(np.abs(np.real(np.diag(y.mat))))), "product_basis", None)]
     uppers: list[tuple[float, str]] = []
     for sign in ((-1.0, 1.0) if lam[0] >= -lam[-1] else (1.0, -1.0)):
-        c, iv = _shifted_sk(y, sign, k, restarts, max_iter, seed, max(lowers)[0])
-        lowers.append((iv.lower - c, iv.lower_method))
+        best = max(t[0] for t in lowers)
+        c, iv = _shifted_sk(y, sign, k, restarts, max_iter, seed, best)
+        lowers.append((iv.lower - c, iv.lower_method, iv.certificate))
         uppers.append((iv.upper - c, iv.upper_method))
-    lower, lo_tag = max(lowers)
+    lower, lo_tag, pair = max(lowers, key=lambda t: t[:2])
     upper, hi_tag = max(uppers)
-    return _finish_interval(lower, min(upper, opn), lo_tag, hi_tag)
+    return _finish_interval(lower, min(upper, opn), lo_tag, hi_tag, pair)
 
 
 @dataclass(frozen=True)
@@ -396,8 +510,9 @@ def block_positivity_check(
     bound, certified_negative when c falls below the lower bound, else
     undecided.  Comparisons use a band of tol times max(|lambda_max|,
     lambda_max - lambda_min): exact-boundary cases decide deterministically
-    and no scaling of y moves a verdict.  The see-saw lower bound is only
-    computed when the cheap upper bound does not already settle it.
+    and no scaling of y moves a verdict.  The lower bound, from the
+    Rayleigh ascent, is only computed when the cheap upper bound does not
+    already settle it; restarts and max_iter are its budget.
     """
     if not y.hermitian:
         raise PreconditionError("block_positivity_check requires a hermitian operator")

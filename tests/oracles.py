@@ -269,3 +269,48 @@ def seesaw_loop_ref(mat, m, n, k, restarts, max_iter, seed, tol):
         if best is None or value > best[0]:
             best = (value, iterations, converged, tuple(trace))
     return best
+
+
+def rayleigh_loop_ref(mat, m, n, k, restarts, max_iter, seed, tol):
+    """The Rayleigh block ascent one restart at a time, with explicit
+    isometries.
+
+    Restart r starts from the right Schmidt frame B (n x k) of
+    random_sr_vec_ref(default_rng([seed, r])).  A step takes A as the top
+    eigenvector of L^dag X L with L = I (x) B, orthonormalizes it by QR,
+    then B the same way with L = A (x) I; both objectives are recorded.
+    A restart stops after a step gaining at most tol * max(max |X_ij|,
+    gain), which no rescaling of X moves, or after max_iter steps.
+    Returns (value, iterations, converged, trace) of the first restart
+    with the largest <v|X|v>.
+    """
+    peak = float(np.max(np.abs(mat)))
+
+    def top(iso):
+        w, vecs = np.linalg.eigh(iso.conj().T @ mat @ iso)
+        return w[-1], vecs[:, -1]
+
+    best = None
+    for ridx in range(restarts):
+        rng = np.random.default_rng([seed, ridx])
+        start = random_sr_vec_ref(rng, m, n, k).reshape(m, n)
+        frame = np.linalg.svd(start)[2][:k].T
+        trace = []
+        prev = -np.inf
+        converged = False
+        for iterations in range(1, max_iter + 1):
+            gain1, a = top(np.einsum("ac,jt->ajct", np.eye(m), frame).reshape(m * n, m * k))
+            a = np.linalg.qr(a.reshape(m, k))[0]
+            gain2, b = top(np.einsum("it,jc->ijct", a, np.eye(n)).reshape(m * n, n * k))
+            b = b.reshape(n, k)
+            trace += [gain1, gain2]
+            if gain2 - prev <= tol * max(peak, gain2):
+                converged = True
+                break
+            prev = gain2
+            frame = np.linalg.qr(b)[0]
+        v = (a @ b.T).reshape(-1)
+        value = float(abs(np.vdot(v, mat @ v)))
+        if best is None or value > best[0]:
+            best = (value, iterations, converged, tuple(trace))
+    return best

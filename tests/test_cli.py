@@ -271,6 +271,19 @@ def test_injected_svd_failure_exits_two_then_resets(tmp_path, capsys):
     assert abs(report["result"]["lower"] - 2.0) < 1e-9
 
 
+def test_blockpos_injected_failure_exits_two(tmp_path, capsys):
+    path = str(tmp_path / "swap.json")
+    save_operator(path, swap_operator(3))
+    code = run(["blockpos", "--k", "2", "--inject-svd-failure", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("entnorms: numerical failure:")
+    assert captured.out == ""
+    # The 3x3 flip is not 2-block positive; the hook is off again.
+    report = run_json(["blockpos", "--k", "2", path], capsys)
+    assert report["result"]["verdict"] == "certified_negative"
+
+
 def test_usage_errors_exit_one(capsys):
     assert run(["norm", "--k", "1", "nowhere.json"]) == 1
     err = capsys.readouterr().err

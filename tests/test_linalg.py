@@ -4,6 +4,7 @@ import pytest
 from entnorms.errors import DimensionError, NumericalError, ParameterError, PreconditionError
 from entnorms.linalg import (
     BipartiteOperator,
+    _top_eigenpairs,
     bipartite,
     eig_hermitian,
     hs_inner,
@@ -188,9 +189,22 @@ def test_svd_failure_injection():
     try:
         with pytest.raises(NumericalError):
             svd(np.eye(2))
+        with pytest.raises(NumericalError):
+            _top_eigenpairs(np.eye(2)[None])
     finally:
         inject_svd_failure(False)
     svd(np.eye(2))
+
+
+def test_top_eigenpairs_of_a_stack():
+    rng = np.random.default_rng(9)
+    g = random_complex(rng, (5, 4, 4))
+    forms = g @ g.conj().transpose(0, 2, 1)
+    vals, vecs = _top_eigenpairs(forms)
+    assert vals.shape == (5,) and vecs.shape == (5, 4)
+    for form, val, vec in zip(forms, vals, vecs):
+        assert abs(val - np.linalg.eigvalsh(form)[-1]) <= 1e-12 * val
+        assert np.linalg.norm(form @ vec - val * vec) <= 1e-12 * val
 
 
 def test_eig_hermitian_identity_and_swap():

@@ -8,6 +8,7 @@ from entnorms.sknorm import (
     SEESAW_TOL,
     NormInterval,
     _finish_interval,
+    _rayleigh_ascent,
     block_positivity_check,
     prod_radius_bisect,
     prod_radius_bounds,
@@ -17,7 +18,7 @@ from entnorms.sknorm import (
     sk_pure,
 )
 from entnorms.states import EnsembleSpec, generate
-from oracles import seesaw_loop_ref
+from oracles import rayleigh_loop_ref, seesaw_loop_ref
 
 SQ7 = np.sqrt(0.7)
 SQ3 = np.sqrt(0.3)
@@ -372,3 +373,105 @@ def test_sk_bounds_see_saw_survives_huge_scale():
     assert res.lower_method == "seesaw"
     assert abs(res.lower / scale - base.lower) <= 1e-8 * base.lower
     assert prod_radius_bounds(huge, 1).lower_method == "seesaw"
+
+
+def _shifted(mat, m, n, sign):
+    """c I - sign * y for hermitian y, with c = lambda_max(sign * y): PSD."""
+    z = sign * (mat + mat.conj().T) / 2.0
+    x = float(np.linalg.eigvalsh(z)[-1]) * np.eye(m * n) - z
+    return bipartite((x + x.conj().T) / 2.0, m, n)
+
+
+@pytest.mark.parametrize(
+    "mat, m, n, k", [case for case in _seesaw_cases() if "-general-" not in case.id])
+@pytest.mark.parametrize("restarts, max_iter", [(1, 200), (6, 200), (4, 1)])
+def test_rayleigh_ascent_matches_the_per_restart_loop(mat, m, n, k, restarts, max_iter):
+    res = _rayleigh_ascent(bipartite(mat, m, n), k, restarts, max_iter, 7)
+    value, iterations, converged, trace = rayleigh_loop_ref(
+        mat, m, n, k, restarts, max_iter, 7, SEESAW_TOL)
+    assert abs(res.value - value) <= 1e-12 * value
+    assert (res.iterations, res.converged) == (iterations, converged)
+    assert len(res.objective_trace) == len(trace) == 2 * res.iterations
+    assert np.allclose(res.objective_trace, trace, rtol=1e-12, atol=0.0)
+
+
+def test_rayleigh_ascent_trace_is_monotone_and_attained():
+    rng = np.random.default_rng(26)
+    for m, n, k in ((3, 3, 1), (3, 3, 2), (2, 4, 1), (4, 4, 2)):
+        g = rng.standard_normal((m * n, m * n)) + 1j * rng.standard_normal((m * n, m * n))
+        for sign in (1.0, -1.0):
+            x = _shifted(g, m, n, sign)
+            res = _rayleigh_ascent(x, k, 8, 500, 3)
+            trace = res.objective_trace
+            assert all(b >= a - 1e-12 * abs(b) for a, b in zip(trace, trace[1:]))
+            assert abs(trace[-1] - res.value) <= 1e-10 * res.value
+            v = res.v.amplitudes
+            assert res.w is res.v and schmidt_rank(res.v) <= k
+            assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+            assert abs(np.vdot(v, x.mat @ v).real - res.value) <= 1e-12 * res.value
+
+
+def test_rayleigh_ascent_never_trails_the_see_saw_on_shifted_operators():
+    # At the default 32 restarts the exact block steps reach at least the
+    # see-saw's value on every operator of this fixed set.
+    rng = np.random.default_rng(61)
+    for m, n in ((2, 2), (2, 3), (3, 3), (2, 4), (3, 4)):
+        for _ in range(3):
+            g = rng.standard_normal((m * n, m * n)) + 1j * rng.standard_normal((m * n, m * n))
+            for k in range(1, min(m, n)):
+                for sign in (1.0, -1.0):
+                    x = _shifted(g, m, n, sign)
+                    ascent = _rayleigh_ascent(x, k, 32, 500, 0).value
+                    assert ascent >= seesaw_lower(x, k).value * (1.0 - 1e-9), (m, n, k, sign)
+
+
+def _flip_and_w1_and_random():
+    rng = np.random.default_rng(45)
+    g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    return ((swap_operator(2).mat, 2), (_w1_witness(), 3), ((g + g.conj().T) / 2.0, 3))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_rayleigh_ascent_stops_alike_at_every_scale(sign):
+    for mat, d in _flip_and_w1_and_random():
+        unit = _shifted(mat, d, d, sign)
+        base = _rayleigh_ascent(unit, 1, 32, 500, 0)
+        for scale in (1e-300, 1e300):
+            res = _rayleigh_ascent(bipartite(scale * unit.mat, d, d), 1, 32, 500, 0)
+            assert res.iterations == base.iterations
+            assert abs(res.value / scale - base.value) <= 1e-12 * base.value
+
+
+def test_radius_lower_endpoint_scales_with_the_operator():
+    for mat, d in _flip_and_w1_and_random():
+        base = prod_radius_bounds(bipartite(mat, d, d), 1)
+        for scale in (1e-300, 1e300):
+            iv = prod_radius_bounds(bipartite(scale * mat, d, d), 1)
+            assert abs(iv.lower / scale - base.lower) <= 1e-12 * base.lower
+
+
+def test_radius_brackets_carry_the_winning_pair():
+    rng = np.random.default_rng(52)
+    g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    cases = [((g + g.conj().T) / 2.0, 3, 3, k) for k in (1, 2)]
+    cases += [(swap_operator(2).mat, 2, 2, 1), (_w1_witness(), 3, 3, 1), (_w1_witness(), 3, 3, 2)]
+    for mat, m, n, k in cases:
+        y = bipartite(mat, m, n)
+        lam = np.linalg.eigvalsh(mat)
+        for iv in (prod_radius_bounds(y, k), prod_radius_bisect(y, k)):
+            pair = iv.certificate
+            if iv.lower_method == "product_basis":
+                assert pair is None
+                continue
+            assert schmidt_rank(pair.v) <= k
+            v = pair.v.amplitudes
+            assert np.array_equal(v, pair.w.amplitudes)
+            misses = []
+            for sign, c in ((1.0, lam[-1]), (-1.0, -lam[0])):
+                shifted = c * np.eye(m * n) - sign * mat
+                misses.append(abs(np.vdot(v, shifted @ v).real - c - iv.lower))
+            assert min(misses) <= 1e-12 * iv.lower
+    # On a diagonal operator both signs' upper bounds are reached by the
+    # product basis, so no search runs and no pair is attached.
+    iv = prod_radius_bounds(bipartite(np.diag([1.0, 0.5, 0.2, 0.1]), 2, 2), 1)
+    assert (iv.lower, iv.lower_method, iv.certificate) == (1.0, "product_basis", None)
