@@ -16,7 +16,10 @@ operators and at k = min(dims), and otherwise bracketed:
                  rank-one closed form, and a sampled linear program over
                  Schmidt-truncated generators, the one place scipy is
                  used (HiGHS through `linprog`, imported on the first
-                 solve, with presolve off: the program is dense).
+                 solve, with presolve off: the program is dense).  On
+                 hermitian x the program matches only the d^2 real
+                 coordinates of the hermitian part, half the rows of the
+                 general program, and never reaches a looser optimum.
 
 The realignment witness is W = L^-1(Y) for the unit-(k^2,2)-norm matrix Y
 attaining k2_dual(L(x), k^2); as L permutes entries, <W, x> = <Y, L(x)>.
@@ -39,12 +42,14 @@ from . import kyfan
 from .errors import InfeasibleError, ParameterError, PreconditionError
 from .kyfan import _check_k
 from .linalg import SINGULAR_ZERO_RTOL, BipartiteOperator, bipartite, realign, realign_inverse, svd
-from .schmidt import PureState, schmidt_decompose
+from .schmidt import DEFAULT_RANK_TOL, PureState
 from .sknorm import NormInterval, _exact_interval, _finish_interval, _sr_unit_vectors, sk_pure
 
 COEFF_PRUNE_RTOL = 1e-12
 DENSITY_TRACE_ATOL = 1e-9
 DEFAULT_CERTIFY_TOL = 1e-9
+# Unit generator factors this close entry by entry make a self-adjoint term.
+_SELF_ADJOINT_ATOL = 1e-12
 
 _LP_OPTIONS = {
     "presolve": False,
@@ -62,10 +67,10 @@ def linprog(c: np.ndarray, A_eq: np.ndarray, b_eq: np.ndarray):
     of the time of a cold `import entnorms`.
 
     HiGHS presolve is off.  The oracle's equality system has one row per
-    real and imaginary entry of x over dense generator columns, so presolve
-    finds nothing to remove yet took most of each solve: on a 2-vCPU Xeon
-    the 512 x 512 program of a 4x4 density at k = 2 solves in about 0.27 s
-    instead of 0.69 s, to the same objective.  scipy reads only a bool
+    real coordinate of x over dense generator columns, so presolve finds
+    nothing to remove yet takes most of each solve: on a 2-vCPU Xeon the
+    256 x 512 program of a 4x4 density at k = 2 solves in about 0.09 s
+    instead of 0.25 s, to the same objective.  scipy reads only a bool
     here; it warns about a string such as "off" and keeps presolve on.
     """
     import scipy.optimize
@@ -148,53 +153,38 @@ class Decomposition:
         return (self.lefts.T * self.coefficients) @ self.rights.conj()
 
 
-def _chunk_vector(vec: np.ndarray, m: int, n: int, k: int) -> list[tuple[np.ndarray, float]]:
-    """Split a raw vector into Schmidt-rank-<=k pieces.
-
-    Returns unit vectors u_c and weights n_c with vec = sum_c n_c u_c and
-    sum_c n_c^2 = |vec|^2; each piece takes k consecutive Schmidt terms.
-    """
-    nrm = float(np.linalg.norm(vec))
-    if nrm == 0.0:
-        return []
-    sd = schmidt_decompose(PureState(vec, m, n))
-    pieces = []
-    for g in range(0, sd.rank, k):
-        c = sd.coeffs[g : g + k]
-        w = float(np.linalg.norm(c))
-        if w == 0.0:
-            continue
-        piece = ((sd.left[g : g + k].T * (c / w)) @ sd.right[g : g + k]).reshape(-1)
-        pieces.append((piece, w))
-    return pieces
-
-
-def _svd_atoms(
-    x: BipartiteOperator, k: int
-) -> tuple[list[np.ndarray], list[np.ndarray], list[float]]:
+def _svd_atoms(x: BipartiteOperator, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Generators from x's own singular triples, Schmidt-chunked.
 
-    Splitting each singular triple sigma u w^dag into the grid of chunk
-    pairs reproduces x exactly with nonnegative coefficients, so these
-    atoms alone are always a feasible decomposition.
+    Each singular vector is split into unit pieces of k consecutive
+    Schmidt terms (coefficients at or below DEFAULT_RANK_TOL times its
+    largest dropped), weighted by their norms; one stacked svd decomposes
+    all of them.  Splitting each singular triple sigma u w^dag into the
+    grid of chunk pairs reproduces x exactly with nonnegative
+    coefficients, so these atoms alone are always a feasible
+    decomposition.  Returns (lefts, rights, coefficients), ordered by
+    triple, then left chunk, then right chunk.
     """
     m, n = x.dims
     u, s, vh = x.svd
-    lefts: list[np.ndarray] = []
-    rights: list[np.ndarray] = []
-    coeffs: list[float] = []
-    cutoff = SINGULAR_ZERO_RTOL * float(s[0]) if s.size else 0.0
-    for i in range(s.size):
-        if s[i] <= cutoff:
-            break
-        uchunks = _chunk_vector(u[:, i], m, n, k)
-        wchunks = _chunk_vector(vh[i, :].conj(), m, n, k)
-        for uc, nu in uchunks:
-            for wc, nw in wchunks:
-                lefts.append(uc)
-                rights.append(wc)
-                coeffs.append(float(s[i]) * nu * nw)
-    return lefts, rights, coeffs
+    r = int(np.count_nonzero(s > SINGULAR_ZERO_RTOL * float(s[0])))
+    uu, sv, svh = svd(np.concatenate([u[:, :r].T, vh[:r].conj()]).reshape(2 * r, m, n))
+    sv = np.where(sv > DEFAULT_RANK_TOL * sv[:, :1], sv, 0.0)
+    pieces, weights = [], []
+    for g in range(0, sv.shape[1], k):
+        c = sv[:, g : g + k]
+        w = np.sqrt(np.vecdot(c, c))
+        c = c / np.where(w > 0.0, w, 1.0)[:, None]
+        piece = (uu[:, :, g : g + k] * c[:, None, :]) @ svh[:, g : g + k]
+        pieces.append(piece.reshape(2 * r, m * n))
+        weights.append(w)
+    pieces, weights = np.stack(pieces, axis=1), np.stack(weights, axis=1)
+    # Triple i pairs left chunk g of u_i with right chunk h of w_i.
+    chunks = weights.shape[1]
+    i, g, h = (a.reshape(-1) for a in np.indices((r, chunks, chunks)))
+    live = (weights[i, g] > 0.0) & (weights[r + i, h] > 0.0)
+    i, g, h = i[live], g[live], h[live]
+    return pieces[i, g], pieces[r + i, h], s[i] * weights[i, g] * weights[r + i, h]
 
 
 def _residual_penalty(m: int, n: int, k: int, residual_mat: np.ndarray) -> float:
@@ -236,12 +226,10 @@ def decomposition_from_mixture(x: BipartiteOperator, k: int) -> Decomposition:
     """
     m, n = x.dims
     _check_k(m, n, k)
-    lefts, rights, coeffs = _svd_atoms(x, k)
-    if not lefts:
+    if float(np.max(np.abs(x.mat))) == 0.0:
         raise ParameterError("cannot decompose the zero operator")
-    return build_decomposition(
-        np.array(coeffs), np.array(lefts), np.array(rights), m, n, k, x
-    )
+    lefts, rights, coeffs = _svd_atoms(x, k)
+    return build_decomposition(coeffs, lefts, rights, m, n, k, x)
 
 
 def certified_upper_from_decomposition(x: BipartiteOperator, dec: Decomposition) -> float:
@@ -366,6 +354,23 @@ def _random_pairs(
     return vecs[:, 0], vecs[:, 1]
 
 
+def _complex_coordinates(mats: np.ndarray) -> np.ndarray:
+    """The 2 d^2 real coordinates of (..., d, d) matrices: the real parts of
+    the entries, row-major, then the imaginary parts."""
+    flat = mats.reshape(*mats.shape[:-2], -1)
+    return np.concatenate([flat.real, flat.imag], axis=-1)
+
+
+def _hermitian_coordinates(mats: np.ndarray) -> np.ndarray:
+    """The d^2 real coordinates of the hermitian parts (M + M^dag) / 2 of
+    (..., d, d) matrices: the diagonal, then the real and the imaginary
+    parts of the strict upper triangle, row-major."""
+    rows, cols = np.triu_indices(mats.shape[-1], 1)
+    upper = (mats[..., rows, cols] + mats[..., cols, rows].conj()) / 2.0
+    diag = np.diagonal(mats, axis1=-2, axis2=-1).real
+    return np.concatenate([diag, upper.real, upper.imag], axis=-1)
+
+
 def decomposition_oracle(
     x: BipartiteOperator,
     k: int,
@@ -379,11 +384,22 @@ def decomposition_oracle(
     feasible decomposition, so the program is solvable whenever the solver
     cooperates), topped up to `budget` with Schmidt-truncated Gaussian
     ket-bra pairs; complex phases live in the generators, so coefficients
-    are nonnegative and min sum c_i s.t. sum c_i G_i = x is a plain LP.
-    If the solver still reports failure, one retry adds the matrix units
-    with the phases of x's entries.  The returned value adds a penalty
-    covering the reconstruction residual, so it is sound even when the
-    solver terminates slightly off-feasible.
+    are nonnegative and min sum c_i s.t. sum c_i G_i = x is a plain LP
+    with one row per real coordinate: 2 d^2 in general.  If the solver
+    still reports failure, one retry adds the matrix units with the phases
+    of x's entries.  The returned value adds a penalty covering the
+    reconstruction residual, so it is sound even when the solver
+    terminates slightly off-feasible.
+
+    On hermitian x the program is solved in the hermitian span: column i
+    is herm(G_i) = (G_i + G_i^dag) / 2, matched against the d^2 real
+    coordinates of x (its diagonal and its strict upper triangle).  A
+    solution c stands for the adjoint pairs |v_i><w_i| and |w_i><v_i| at
+    c_i / 2 each, or one term where G_i is its own adjoint, so the
+    decomposition's weight is the program's objective.  The optimum is
+    never looser than the general program's over the same pool: taking
+    hermitian parts maps each of its feasible points to one of this
+    program with the same objective.
     """
     m, n = x.dims
     d = m * n
@@ -393,7 +409,8 @@ def decomposition_oracle(
     span_dim = 2 * d * d
     if budget < span_dim:
         raise ParameterError(
-            f"budget {budget} is below the real span dimension {span_dim}"
+            f"budget {budget} is below {span_dim}, the real span dimension of "
+            "the general program"
         )
     if float(np.max(np.abs(x.mat))) == 0.0:
         raise ParameterError("cannot decompose the zero operator")
@@ -402,17 +419,16 @@ def decomposition_oracle(
     rand_lefts, rand_rights = _random_pairs(
         np.random.default_rng(seed), budget - len(atom_lefts), m, n, k
     )
-    lefts = np.concatenate([np.array(atom_lefts), rand_lefts])
-    rights = np.concatenate([np.array(atom_rights), rand_rights])
+    lefts = np.concatenate([atom_lefts, rand_lefts])
+    rights = np.concatenate([atom_rights, rand_rights])
     # HiGHS tolerances are absolute, so the program is solved for x / scale
     # with the exact power of two nearest the trace norm (1 on densities).
     scale = math.ldexp(1.0, round(math.log2(float(np.sum(x.svd[1])))))
-    target = x.mat.reshape(-1) / scale
+    coordinates = _hermitian_coordinates if x.hermitian else _complex_coordinates
+    b_eq = coordinates(x.mat / scale)
 
     def solve(le: np.ndarray, ri: np.ndarray):
-        atoms = np.einsum("ni,nj->nij", le, ri.conj()).reshape(le.shape[0], d * d)
-        a_eq = np.vstack([atoms.real.T, atoms.imag.T])
-        b_eq = np.concatenate([target.real, target.imag])
+        a_eq = coordinates(np.einsum("ni,nj->nij", le, ri.conj())).T
         return linprog(np.ones(le.shape[0]), a_eq, b_eq)
 
     res = solve(lefts, rights)
@@ -432,9 +448,14 @@ def decomposition_oracle(
     keep = c > COEFF_PRUNE_RTOL * float(np.sum(c))
     if not np.any(keep):
         keep = c >= np.max(c)
-    dec = build_decomposition(
-        c[keep], lefts[keep], rights[keep], m, n, k, x
-    )
+    c, lefts, rights = c[keep], lefts[keep], rights[keep]
+    if x.hermitian:
+        # Column i matched herm(|v><w|), which the adjoint pair |v><w| and
+        # |w><v| at c_i / 2 each reproduces; a self-adjoint |v><v| stays one term.
+        pair = np.max(np.abs(lefts - rights), axis=1) > _SELF_ADJOINT_ATOL
+        c = np.concatenate([np.where(pair, c / 2.0, c), c[pair] / 2.0])
+        lefts, rights = np.concatenate([lefts, rights[pair]]), np.concatenate([rights, lefts[pair]])
+    dec = build_decomposition(c, lefts, rights, m, n, k, x)
     upper = certified_upper_from_decomposition(x, dec)
     return upper, dec
 

@@ -314,3 +314,52 @@ def rayleigh_loop_ref(mat, m, n, k, restarts, max_iter, seed, tol):
         if best is None or value > best[0]:
             best = (value, iterations, converged, tuple(trace))
     return best
+
+
+def svd_atoms_loop_ref(mat, m, n, k, rank_tol=1e-10, zero_rtol=1e-14):
+    """Schmidt-chunked singular triples of mat, one vector at a time.
+
+    Each singular triple s u w^dag above zero_rtol * s_1 has u and w split
+    into unit pieces of k consecutive Schmidt terms (coefficients at or
+    below rank_tol times the vector's largest dropped) with their norms as
+    weights; every (left piece, right piece) pair of a triple is one atom
+    of coefficient s * weight * weight.  Returns (lefts, rights, coeffs)
+    ordered by triple, then left piece, then right piece.
+    """
+    def pieces(vec):
+        uu, s, vh = np.linalg.svd(vec.reshape(m, n), full_matrices=False)
+        rank = int(np.sum(s > rank_tol * s[0]))
+        out = []
+        for g in range(0, rank, k):
+            c = s[g:min(g + k, rank)]
+            w = float(np.linalg.norm(c))
+            out.append((((uu[:, g:g + c.size] * (c / w)) @ vh[g:g + c.size]).reshape(-1), w))
+        return out
+
+    u, s, vh = np.linalg.svd(mat)
+    lefts, rights, coeffs = [], [], []
+    for i in range(s.size):
+        if s[i] <= zero_rtol * s[0]:
+            break
+        for left, nu in pieces(u[:, i]):
+            for right, nw in pieces(vh[i].conj()):
+                lefts.append(left)
+                rights.append(right)
+                coeffs.append(float(s[i]) * nu * nw)
+    return np.array(lefts), np.array(rights), np.array(coeffs)
+
+
+def full_span_lp_ref(x, lefts, rights):
+    """Optimum of min sum c_i s.t. sum c_i |lefts_i><rights_i| = x, c >= 0,
+    with one equality row per real and per imaginary entry of x (2 d^2
+    rows), solved by HiGHS with presolve at scipy's default."""
+    tn = float(np.sum(np.linalg.svd(x, compute_uv=False)))
+    cols = np.einsum("ni,nj->nij", lefts, rights.conj()).reshape(len(lefts), -1)
+    target = np.asarray(x).reshape(-1) / tn
+    res = linprog(np.ones(len(lefts)), A_eq=np.vstack([cols.real.T, cols.imag.T]),
+                  b_eq=np.concatenate([target.real, target.imag]), bounds=(0, None),
+                  method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                           "dual_feasibility_tolerance": 1e-10})
+    if res.status != 0:
+        raise RuntimeError("full-span reference program failed")
+    return float(res.fun) * tn

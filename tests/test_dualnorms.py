@@ -30,7 +30,7 @@ from entnorms.linalg import bipartite
 from entnorms.schmidt import pure_state, s_k_dual, schmidt_decompose
 from entnorms.sknorm import NormInterval, sk_elementary, sk_pure
 from entnorms.states import EnsembleSpec, generate, sn_bounded_ensemble
-from oracles import random_sr_vec_ref
+from oracles import full_span_lp_ref, random_sr_vec_ref, svd_atoms_loop_ref
 
 SQ7 = np.sqrt(0.7)
 SQ3 = np.sqrt(0.3)
@@ -173,8 +173,9 @@ def test_oracle_retries_with_unit_columns_after_a_failed_solve(monkeypatch):
     monkeypatch.setattr(dualnorms, "linprog", fail_once)
     rho = generate(EnsembleSpec("ginibre_density", 2, 2, seed=0))
     upper, dec = decomposition_oracle(rho, 1, budget=32, seed=0)
-    # the retry appends the d^2 = 16 phased matrix units to the 32-column pool
-    assert shapes == [(32, 32), (32, 48)]
+    # a hermitian target has d^2 = 16 real coordinates, and the retry
+    # appends the d^2 = 16 phased matrix units to the 32-column pool
+    assert shapes == [(16, 32), (16, 48)]
     assert upper >= np.linalg.norm(rho.mat, "nuc")
     assert dec.residual < 1e-9
 
@@ -191,12 +192,9 @@ def test_linprog_seam_keeps_its_a_eq_parameter():
     assert "A_eq" in inspect.signature(dualnorms.linprog).parameters
 
 
-def test_retry_columns_are_the_phased_matrix_units(monkeypatch):
-    # Retry column a*d + b is phase(x_ab) e_a e_b^dag; a zero entry, signed
-    # or not, takes phase 1.
-    mat = np.array(generate(EnsembleSpec("ginibre_density", 2, 2, seed=0)).mat)
-    mat[0, 3] = mat[3, 0] = 0.0
-    mat[1, 2] = mat[2, 1] = -0.0
+def _retry_block(monkeypatch, mat):
+    """The A_eq columns the retry appends to the 32-column pool of a 2x2
+    operator, and the row count of the first program."""
     programs = []
     solver = dualnorms.linprog
 
@@ -208,14 +206,50 @@ def test_retry_columns_are_the_phased_matrix_units(monkeypatch):
 
     monkeypatch.setattr(dualnorms, "linprog", fail_once)
     decomposition_oracle(bipartite(mat, 2, 2), 1, budget=32, seed=0)
-    a_eq = programs[1]
-    block = a_eq[:16, 32:] + 1j * a_eq[16:, 32:]
-    expected = np.zeros((16, 16), dtype=complex)
-    for a in range(4):
-        for b in range(4):
+    assert programs[1].shape[1] == 48
+    return programs[1][:, 32:], programs[0].shape[0]
+
+
+def _phased_units(mat):
+    # Retry column a*d + b is phase(x_ab) e_a e_b^dag; a zero entry, signed
+    # or not, takes phase 1.
+    d = mat.shape[0]
+    units = np.zeros((d * d, d, d), dtype=complex)
+    for a in range(d):
+        for b in range(d):
             z = mat[a, b]
-            expected[4 * a + b, 4 * a + b] = z / abs(z) if z != 0 else 1.0
+            units[a * d + b, a, b] = z / abs(z) if z != 0 else 1.0
+    return units
+
+
+def test_retry_columns_are_the_phased_matrix_units(monkeypatch):
+    # On a hermitian target each column holds the coordinates of herm(G):
+    # the diagonal, then the real and the imaginary strict upper triangle.
+    mat = np.array(generate(EnsembleSpec("ginibre_density", 2, 2, seed=0)).mat)
+    mat[0, 3] = mat[3, 0] = 0.0
+    mat[1, 2] = mat[2, 1] = -0.0
+    block, rows = _retry_block(monkeypatch, mat)
+    assert rows == 16
+    upper = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    expected = np.zeros((16, 16))
+    for col, unit in enumerate(_phased_units(mat)):
+        herm = (unit + unit.conj().T) / 2
+        expected[:4, col] = np.diag(herm).real
+        expected[4:10, col] = [herm[a, b].real for a, b in upper]
+        expected[10:, col] = [herm[a, b].imag for a, b in upper]
     assert np.allclose(block, expected, rtol=0.0, atol=1e-15)
+
+
+def test_retry_columns_are_the_phased_matrix_units_on_a_general_target(monkeypatch):
+    # A non-hermitian target keeps one row per real and per imaginary entry.
+    rng = np.random.default_rng(12)
+    mat = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    mat[0, 3] = 0.0
+    mat[1, 2] = -0.0
+    block, rows = _retry_block(monkeypatch, mat)
+    assert rows == 32
+    expected = _phased_units(mat).reshape(16, 16).T
+    assert np.allclose(block[:16] + 1j * block[16:], expected, rtol=0.0, atol=1e-15)
 
 
 def test_lp_options_are_all_accepted_by_scipy():
@@ -667,3 +701,100 @@ def test_random_pairs_reproduce_the_sequential_stream(dims, k):
             assert np.array_equal(left, ref_left) and np.array_equal(right, ref_right)
         assert np.max(np.abs(left - ref_left)) <= 1e-15
         assert np.max(np.abs(right - ref_right)) <= 1e-15
+
+
+_HERMITIAN_INPUTS = {
+    "2x2": (lambda: _ginibre(2, 2), 1),
+    "2x3": (lambda: _ginibre(2, 3), 1),
+    "3x3": (lambda: _ginibre(3, 3), 1),
+    "3x4": (lambda: _ginibre(3, 4), 1),
+    "4x4-k2": (lambda: _ginibre(4, 4), 2),
+    "isotropic": (lambda: generate(EnsembleSpec("isotropic", 3, 3, p=0.2)), 1),
+    "haar-projector": (lambda: projector(generate(EnsembleSpec("haar_pure", 3, 3, seed=3))), 1),
+    "rank-2": (lambda: generate(EnsembleSpec("ginibre_density", 3, 3, rank=2, seed=3)), 1),
+}
+
+
+@pytest.mark.parametrize("factor", [1, 3])
+@pytest.mark.parametrize("name", list(_HERMITIAN_INPUTS))
+def test_hermitian_program_is_never_looser_than_the_full_span(monkeypatch, name, factor):
+    # Every decomposition of x over the pool is one of its hermitian part,
+    # so matching only the d^2 hermitian coordinates cannot raise the optimum.
+    make, k = _HERMITIAN_INPUTS[name]
+    x = make()
+    m, n = x.dims
+    d = m * n
+    budget = factor * 2 * d * d
+    shapes = []
+    solver = dualnorms.linprog
+
+    def recording(c, A_eq, b_eq):
+        shapes.append(A_eq.shape)
+        return solver(c, A_eq, b_eq)
+
+    monkeypatch.setattr(dualnorms, "linprog", recording)
+    upper, dec = decomposition_oracle(x, k, budget=budget, seed=0)
+    assert shapes == [(d * d, budget)]
+
+    atom_lefts, atom_rights, _ = dualnorms._svd_atoms(x, k)
+    rand_lefts, rand_rights = dualnorms._random_pairs(
+        np.random.default_rng(0), budget - len(atom_lefts), m, n, k)
+    ref = full_span_lp_ref(np.array(x.mat), np.concatenate([atom_lefts, rand_lefts]),
+                           np.concatenate([atom_rights, rand_rights]))
+    assert upper <= ref * (1 + 1e-9)
+    assert upper >= np.linalg.norm(x.mat, "nuc") * (1 - 1e-12)
+    assert dec.residual < 1e-9
+    assert abs(dec.weight - upper) <= 1e-9 * upper
+    for side in (dec.lefts, dec.rights):
+        assert np.max(np.abs(np.linalg.norm(side, axis=1) - 1.0)) <= 1e-12
+        s = np.linalg.svd(side.reshape(-1, m, n), compute_uv=False)
+        assert s.shape[1] <= k or np.max(s[:, k] / s[:, 0]) <= 1e-8
+
+
+def test_general_targets_keep_the_full_span_program(monkeypatch):
+    rng = np.random.default_rng(8)
+    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    x = bipartite(g, 2, 3)
+    assert not x.hermitian
+    shapes = []
+    solver = dualnorms.linprog
+
+    def recording(c, A_eq, b_eq):
+        shapes.append(A_eq.shape)
+        return solver(c, A_eq, b_eq)
+
+    monkeypatch.setattr(dualnorms, "linprog", recording)
+    upper, dec = decomposition_oracle(x, 1, budget=72, seed=0)
+    assert shapes == [(72, 72)]
+    atom_lefts, atom_rights, _ = dualnorms._svd_atoms(x, 1)
+    rand_lefts, rand_rights = dualnorms._random_pairs(
+        np.random.default_rng(0), 72 - len(atom_lefts), 2, 3, 1)
+    ref = full_span_lp_ref(g, np.concatenate([atom_lefts, rand_lefts]),
+                           np.concatenate([atom_rights, rand_rights]))
+    assert abs(upper - ref) <= 1e-9 * ref
+    assert dec.residual < 1e-9
+
+
+@pytest.mark.parametrize("dims", [(1, 3), (2, 2), (2, 3), (3, 3), (3, 4), (4, 4)])
+def test_svd_atoms_match_the_per_vector_chunk_loop(dims):
+    m, n = dims
+    d = m * n
+    rng = np.random.default_rng(m * 10 + n)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    low = rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2))
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    # Schmidt rank below min(m, n): the trailing coefficients are rounding
+    # noise, which the per-vector cutoff drops.
+    a = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
+    b = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    short = np.kron(a[0], b[0]) + (np.kron(a[1], b[1]) if min(m, n) > 2 else 0.0)
+    for mat in (g, g @ g.conj().T, low @ low.conj().T, np.outer(v, v.conj()),
+                np.outer(short, short.conj())):
+        x = bipartite(mat, m, n)
+        for k in range(1, min(m, n) + 1):
+            lefts, rights, coeffs = dualnorms._svd_atoms(x, k)
+            ref_lefts, ref_rights, ref_coeffs = svd_atoms_loop_ref(np.array(x.mat), m, n, k)
+            assert lefts.shape == ref_lefts.shape and rights.shape == ref_rights.shape
+            assert np.max(np.abs(lefts - ref_lefts)) <= 1e-15
+            assert np.max(np.abs(rights - ref_rights)) <= 1e-15
+            assert np.max(np.abs(coeffs - ref_coeffs)) <= 1e-15 * np.max(ref_coeffs)
