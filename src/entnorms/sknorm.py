@@ -8,8 +8,7 @@ For a bipartite operator X and a hermitian operator y,
 Neither supremum is efficiently computable in general, so this module
 produces certified two-sided bounds.  Upper bounds come from the operator
 norm, with closed forms on rank-one inputs and at k = min(dims).  Lower
-bounds come from one of two kernels, both of which stop at SEESAW_TOL and
-evaluate their final pair explicitly:
+bounds come from one search driver, _ascend, with two step rules:
 
 - the bilinear see-saw seesaw_lower, for the S(k) norm of any operator:
   for fixed w the optimal v is the normalized Schmidt truncation of Xw,
@@ -18,6 +17,9 @@ evaluate their final pair explicitly:
   radius, whose shifted operators below are PSD: with v = vec(A B^T), each
   step sets A (then B) to the top eigenvector of a small km x km (kn x kn)
   form, an exact block step that the shift does not slow down.
+
+A restart stops once a step gains at most SEESAW_TOL * max(floor,
+objective); the see-saw's floor is 1, the ascent's x's largest entry.
 
 Block positivity and the radius both reduce to the S(k) norm of a shifted
 operator.  For hermitian z with c = lambda_max(z), cI - z is PSD, and on
@@ -125,9 +127,7 @@ def _check_budgets(restarts: int, max_iter: int, seed: int) -> None:
 
 
 def _basis_product_vec(m: int, n: int) -> np.ndarray:
-    vec = np.zeros(m * n, dtype=np.complex128)
-    vec[0] = 1.0
-    return vec
+    return np.eye(1, m * n, dtype=np.complex128)[0]
 
 
 def _sr_unit_vectors(draws: np.ndarray, m: int, n: int, k: int) -> np.ndarray:
@@ -158,6 +158,75 @@ def _start_vectors(m: int, n: int, k: int, restarts: int, seed: int) -> np.ndarr
     return _sr_unit_vectors(draws, m, n, k)
 
 
+def _zero_pair(m: int, n: int, seed: int) -> SeeSawResult:
+    v0 = pure_state(_basis_product_vec(m, n), m, n)
+    return SeeSawResult(v0, v0, 0.0, 0, True, seed, ())
+
+
+def _ascend(
+    x: BipartiteOperator, k: int, restarts: int, max_iter: int, seed: int, kernel
+) -> SeeSawResult:
+    """Best of restarts ascents on x / 2^e, advanced together.
+
+    kernel(mat, e, m, n, k, starts) returns (step, floor, pairs).  step(live,
+    gains) advances the live restarts, writes their two half-step gains and
+    returns those that moved; the rest retire converged.  A moved restart
+    stops once its step gains at most SEESAW_TOL * max(floor, objective).
+    pairs() returns the v and w stacks; ties go to the first restart.
+    """
+    m, n = x.dims
+    mat, e = _scaled(x)
+    step, floor, pairs = kernel(mat, e, m, n, k, _start_vectors(m, n, k, restarts, seed))
+    live = np.arange(restarts)
+    iterations = np.zeros(restarts, dtype=np.int64)
+    converged = np.zeros(restarts, dtype=bool)
+    prev = np.full(restarts, -np.inf)
+    # Per step, the (restarts, 2) half-step gains; NaN where none was made.
+    gains: list[np.ndarray] = []
+    for it in range(1, max_iter + 1):
+        iterations[live] = it
+        gains.append(np.full((restarts, 2), np.nan))
+        moved = step(live, gains[-1])
+        if moved.size < live.size:
+            converged[np.setdiff1d(live, moved, assume_unique=True)] = True
+        g2 = gains[-1][moved, 1]
+        stop = g2 - prev[moved] <= SEESAW_TOL * np.maximum(floor, g2)
+        converged[moved[stop]] = True
+        prev[moved] = g2
+        live = moved[~stop]
+        if live.size == 0:
+            break
+
+    v, w = pairs()
+    values = np.ldexp(np.abs(np.vecdot(v, (mat @ w[..., None])[..., 0])), e)
+    best = int(np.argmax(values))
+    trace = np.ldexp(np.stack(gains)[: iterations[best], best].reshape(-1), e)
+    v_best = pure_state(v[best], m, n, require_normalized=False)
+    w_best = v_best if w is v else pure_state(w[best], m, n, require_normalized=False)
+    return SeeSawResult(
+        v_best, w_best, float(values[best]), int(iterations[best]), bool(converged[best]),
+        seed, tuple(trace[~np.isnan(trace)].tolist()),
+    )
+
+
+def _seesaw_kernel(mat: np.ndarray, e: int, m: int, n: int, k: int, w: np.ndarray):
+    """Power half-steps from the starts w; the floor is the see-saw's 1 read
+    on x / 2^e, capped short of overflow, where every step stops anyway."""
+    adjoint = mat.conj().T
+    v = np.tile(_basis_product_vec(m, n), (w.shape[0], 1))
+
+    def step(live: np.ndarray, gains: np.ndarray) -> np.ndarray:
+        for op, src, dst, slot in ((mat, w, v, 0), (adjoint, v, w, 1)):
+            new, g = _truncate_raw((op @ src[live, :, None])[..., 0], m, n, k)
+            moved = g > 0.0
+            live = live[moved]
+            dst[live] = new[moved]
+            gains[live, slot] = g[moved]
+        return live
+
+    return step, math.ldexp(1.0, min(-e, 1023)), lambda: (v, w)
+
+
 def seesaw_lower(
     x: BipartiteOperator,
     k: int,
@@ -173,72 +242,16 @@ def seesaw_lower(
     the trace is nondecreasing.  A restart stops once a full step gains at
     most SEESAW_TOL * max(1, objective), once a truncation keeps no
     Schmidt weight, or after max_iter steps with converged=False.  Restart
-    r draws from a stream derived from (seed, r), which makes the result
-    independent of how the restarts are evaluated; ties go to the lowest
-    restart.
-
-    All restarts advance together: the live ones form one stack, so a
-    half-step is one matrix product and one stacked Schmidt truncation, and
-    a per-restart mask retires each restart where it stops.  The iteration
-    runs on x / 2^e, with 2^e the power of two just above its largest entry,
-    and every gain is scaled back exactly before the stopping test, so no
-    input scale overflows the Schmidt norms.
+    r draws from default_rng([seed, r]); ties go to the lowest restart.
+    The restarts advance together under _ascend, on x / 2^e with 2^e the
+    power of two just above x's largest entry, so no scale overflows.
     """
     m, n = x.dims
     _check_k(m, n, k)
     _check_budgets(restarts, max_iter, seed)
-    mat, e = _scaled(x)
-    if not mat.any():
-        v0 = pure_state(_basis_product_vec(m, n), m, n)
-        return SeeSawResult(v0, v0, 0.0, 0, True, seed, ())
-
-    adjoint = mat.conj().T
-    w = _start_vectors(m, n, k, restarts, seed)
-    v = np.tile(_basis_product_vec(m, n), (restarts, 1))
-
-    live = np.arange(restarts)
-    iterations = np.zeros(restarts, dtype=np.int64)
-    converged = np.zeros(restarts, dtype=bool)
-    prev = np.full(restarts, -np.inf)
-    # Per step, the (restarts, 2) half-step gains; a restart's recorded
-    # gains are positive and form a prefix, its unrecorded ones are 0.
-    gains: list[np.ndarray] = []
-
-    def half_step(op: np.ndarray, src: np.ndarray, dst: np.ndarray, slot: int) -> np.ndarray:
-        # dst <- trunc_k(op src) on the live restarts; one whose truncation
-        # keeps no Schmidt weight keeps its dst and retires converged.
-        nonlocal live
-        new, g = _truncate_raw((op @ src[live, :, None])[..., 0], m, n, k)
-        g = np.ldexp(g, e)
-        moved = g > 0.0
-        converged[live[~moved]] = True
-        live, g = live[moved], g[moved]
-        dst[live] = new[moved]
-        gains[-1][live, slot] = g
-        return g
-
-    for step in range(1, max_iter + 1):
-        iterations[live] = step
-        gains.append(np.zeros((restarts, 2)))
-        half_step(mat, w, v, 0)
-        g2 = half_step(adjoint, v, w, 1)
-        stop = g2 - prev[live] <= SEESAW_TOL * np.maximum(1.0, g2)
-        converged[live[stop]] = True
-        prev[live] = g2
-        live = live[~stop]
-        if live.size == 0:
-            break
-
-    values = np.ldexp(np.abs(np.vecdot(v, (mat @ w[..., None])[..., 0])), e)
-    best = int(np.argmax(values))
-    trace = np.stack(gains)[:, best, :].reshape(-1)
-    trace = trace[trace > 0.0]
-    return SeeSawResult(
-        pure_state(v[best], m, n, require_normalized=False),
-        pure_state(w[best], m, n, require_normalized=False),
-        float(values[best]), int(iterations[best]), bool(converged[best]), seed,
-        tuple(trace.tolist()),
-    )
+    if not x.mat.any():
+        return _zero_pair(m, n, seed)
+    return _ascend(x, k, restarts, max_iter, seed, _seesaw_kernel)
 
 
 def _reduced_forms(flat: np.ndarray, p: int, q: int, frames: np.ndarray) -> np.ndarray:
@@ -259,6 +272,30 @@ def _orthonormal(blocks: np.ndarray) -> np.ndarray:
     return np.linalg.qr(blocks)[0]
 
 
+def _rayleigh_kernel(mat: np.ndarray, e: int, m: int, n: int, k: int, starts: np.ndarray):
+    """Exact block steps on v = vec(A B^T); the floor is x's largest entry."""
+    x4 = mat.reshape(m, n, m, n)
+    flat_a = x4.reshape(m * n * m, n)
+    flat_b = np.ascontiguousarray(x4.transpose(1, 0, 3, 2)).reshape(n * m * n, m)
+    frame_b = np.ascontiguousarray(svd(starts.reshape(-1, m, n))[2][:, :k].transpose(0, 2, 1))
+    frame_a = np.empty((len(starts), m, k), dtype=np.complex128)
+    block_b = np.empty((len(starts), n, k), dtype=np.complex128)
+
+    def step(live: np.ndarray, gains: np.ndarray) -> np.ndarray:
+        gains[live, 0], a = _top_eigenpairs(_reduced_forms(flat_a, m, n, frame_b[live]))
+        frame_a[live] = q_a = _orthonormal(a.reshape(-1, m, k))
+        gains[live, 1], b = _top_eigenpairs(_reduced_forms(flat_b, n, m, q_a))
+        block_b[live] = b.reshape(-1, n, k)
+        frame_b[live] = _orthonormal(block_b[live])
+        return live
+
+    def pairs() -> tuple[np.ndarray, np.ndarray]:
+        vecs = (frame_a @ block_b.transpose(0, 2, 1)).reshape(-1, m * n)
+        return vecs, vecs
+
+    return step, float(np.max(np.abs(mat))), pairs
+
+
 def _rayleigh_ascent(
     x: BipartiteOperator, k: int, restarts: int, max_iter: int, seed: int
 ) -> SeeSawResult:
@@ -274,57 +311,11 @@ def _rayleigh_ascent(
     the power steps of seesaw_lower, a step does not slow down as the
     shift c grows.
 
-    The starts, restart streams, live-restart mask, ties and x / 2^e
-    iteration are seesaw_lower's.  The stop form is too, with x's largest
-    entry in place of the 1: a step stops once it gains at most
-    SEESAW_TOL * max(largest entry, objective), both read on x / 2^e, so
-    the test is homogeneous and iteration counts do not depend on the
-    input's scale.  value is |<v|x|v>| of the returned vector, a sound
-    lower bound for any x.
+    The driver, _ascend, is seesaw_lower's; only the stop floor differs:
+    x's largest entry in place of the 1, so iteration counts do not depend
+    on x's scale.  value is |<v|x|v>|, a sound lower bound for any x.
     """
-    m, n = x.dims
-    mat, e = _scaled(x)
-    unit = float(np.max(np.abs(mat)))
-    x4 = mat.reshape(m, n, m, n)
-    flat_a = x4.reshape(m * n * m, n)
-    flat_b = np.ascontiguousarray(x4.transpose(1, 0, 3, 2)).reshape(n * m * n, m)
-
-    vh = svd(_start_vectors(m, n, k, restarts, seed).reshape(restarts, m, n))[2]
-    frame_b = np.ascontiguousarray(vh[:, :k, :].transpose(0, 2, 1))
-    frame_a = np.empty((restarts, m, k), dtype=np.complex128)
-    block_b = np.empty((restarts, n, k), dtype=np.complex128)
-
-    live = np.arange(restarts)
-    iterations = np.zeros(restarts, dtype=np.int64)
-    converged = np.zeros(restarts, dtype=bool)
-    prev = np.full(restarts, -np.inf)
-    gains: list[np.ndarray] = []  # per step, the (restarts, 2) objectives
-    for step in range(1, max_iter + 1):
-        iterations[live] = step
-        g1, a = _top_eigenpairs(_reduced_forms(flat_a, m, n, frame_b[live]))
-        q_a = _orthonormal(a.reshape(-1, m, k))
-        g2, b = _top_eigenpairs(_reduced_forms(flat_b, n, m, q_a))
-        frame_a[live] = q_a
-        block_b[live] = b.reshape(-1, n, k)
-        gains.append(np.zeros((restarts, 2)))
-        gains[-1][live] = np.stack([g1, g2], axis=-1)
-        stop = g2 - prev[live] <= SEESAW_TOL * np.maximum(unit, g2)
-        converged[live[stop]] = True
-        prev[live] = g2
-        live = live[~stop]
-        if live.size == 0:
-            break
-        frame_b[live] = _orthonormal(block_b[live])
-
-    vecs = (frame_a @ block_b.transpose(0, 2, 1)).reshape(restarts, m * n)
-    values = np.ldexp(np.abs(np.vecdot(vecs, (mat @ vecs[..., None])[..., 0])), e)
-    best = int(np.argmax(values))
-    trace = np.ldexp(np.stack(gains)[: iterations[best], best].reshape(-1), e)
-    v = pure_state(vecs[best], m, n, require_normalized=False)
-    return SeeSawResult(
-        v, v, float(values[best]), int(iterations[best]), bool(converged[best]), seed,
-        tuple(trace.tolist()),
-    )
+    return _ascend(x, k, restarts, max_iter, seed, _rayleigh_kernel)
 
 
 def sk_pure(v: PureState, k: int) -> float:
@@ -368,9 +359,7 @@ def _sk_bounds_full(
 
     u, s, vh = x.svd
     if s[0] <= 0.0:
-        v0 = pure_state(_basis_product_vec(m, n), m, n)
-        pair = SeeSawResult(v0, v0, 0.0, 0, True, seed, ())
-        return _exact_interval(0.0, "zero_operator", pair)
+        return _exact_interval(0.0, "zero_operator", _zero_pair(m, n, seed))
 
     closed = None
     # On PSD x the leading right singular vector is the left one, so the

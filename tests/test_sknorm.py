@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import entnorms.sknorm as sknorm
 from entnorms.errors import NumericalError, ParameterError, PreconditionError
 from entnorms.linalg import bipartite, inject_svd_failure, swap_operator
 from entnorms.schmidt import pure_state, schmidt_rank
@@ -350,6 +351,60 @@ def test_seesaw_reports_an_exhausted_budget():
     assert (res.iterations, len(res.objective_trace)) == (2, 4)
     assert abs(res.value - ref[0]) <= 1e-12 * ref[0]
     assert (res.iterations, res.converged) == ref[1:3]
+
+
+def _fixed_starts(monkeypatch, *indices):
+    starts = np.zeros((len(indices), 4), dtype=complex)
+    starts[np.arange(len(indices)), list(indices)] = 1.0
+    monkeypatch.setattr(sknorm, "_start_vectors", lambda m, n, k, restarts, seed: starts.copy())
+
+
+def test_seesaw_retires_a_restart_whose_truncation_keeps_no_weight(monkeypatch):
+    # On diag(1, 0, 0, 0), x|11> = 0: the first half-step keeps no Schmidt
+    # weight, so the restart retires converged after one step, with no gain.
+    x = bipartite(np.diag([1.0, 0.0, 0.0, 0.0]), 2, 2)
+    _fixed_starts(monkeypatch, 3)
+    res = seesaw_lower(x, 1, restarts=1)
+    assert (res.value, res.iterations, res.converged, res.objective_trace) == (0.0, 1, True, ())
+    _fixed_starts(monkeypatch, 3, 0)
+    res = seesaw_lower(x, 1, restarts=2)
+    assert (res.value, res.iterations, res.converged, res.objective_trace) == (
+        1.0, 2, True, (1.0, 1.0, 1.0, 1.0))
+
+
+def test_only_sk_bounds_calls_seesaw_lower_through_the_module(monkeypatch):
+    # Traced runs wrap sknorm.seesaw_lower by module attribute: sk_bounds of
+    # a general operator must reach it there, and block positivity, which
+    # runs the Rayleigh ascent, must not.
+    calls = []
+    seesaw = sknorm.seesaw_lower
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return seesaw(*args, **kwargs)
+
+    monkeypatch.setattr(sknorm, "seesaw_lower", counted)
+    rng = np.random.default_rng(8)
+    g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    assert sk_bounds(bipartite(g, 3, 3), 1).lower_method == "seesaw"
+    assert len(calls) == 1
+    bp = block_positivity_check(bipartite((g + g.conj().T) / 2.0, 3, 3), 1)
+    assert bp.interval.lower_method == "seesaw"
+    assert len(calls) == 1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the see-saw stop is absolute below unit gain (ROADMAP item 6); the "
+    "ascent's relative stop made certify_grid sweep_s slower in 5 of 7 paired "
+    "runs (median +17%), so it waits for its own baseline",
+)
+def test_seesaw_lower_is_scale_invariant_far_below_unit_scale():
+    rho = generate(EnsembleSpec("ginibre_density", 3, 3, seed=0))
+    base = seesaw_lower(rho, 1)
+    tiny = seesaw_lower(bipartite(1e-300 * rho.mat, 3, 3), 1)
+    assert tiny.iterations == base.iterations
+    assert abs(tiny.value / 1e-300 - base.value) <= 1e-9 * base.value
 
 
 def test_seesaw_raises_on_svd_failure():
