@@ -36,8 +36,8 @@ SINGULAR_ZERO_RTOL = 1e-14
 
 # Testing hook: when set, svd() and the stacked eigh of _top_eigenpairs()
 # raise NumericalError.  Used by the CLI's --inject-svd-failure flag to
-# exercise the numerical-failure exit path; an svd already cached on an
-# operator is not recomputed, so it does not fail.
+# exercise the numerical-failure exit path; cached work is not redone, so
+# it does not fail: an operator's svd and kept shifts, the search starts.
 _SVD_FAILURE_INJECTED = False
 
 
@@ -105,6 +105,19 @@ class BipartiteOperator:
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """eig_hermitian(mat) as read-only (w, V), computed on first read."""
         return _read_only(eig_hermitian(self.mat))
+
+    def psd_shift(self, sign: float) -> tuple[float, BipartiteOperator]:
+        """(c, cI - z) for z = sign * mat and c = lambda_max(z), a PSD operator;
+        built on first request per sign and kept, like svd and eigh, so its
+        own cached svd is computed once too.  Requires a hermitian operator."""
+        shifts = self.__dict__.setdefault("_psd_shifts", {})
+        if sign not in shifts:
+            lam = self.eigh[0]
+            c = float(lam[0]) if sign > 0 else -float(lam[-1])
+            x_mat = c * np.eye(self.mat.shape[0], dtype=np.complex128) - sign * self.mat
+            x_mat = (x_mat + x_mat.conj().T) / 2.0
+            shifts[sign] = (c, BipartiteOperator(x_mat, self.dim_a, self.dim_b, hermitian=True))
+        return shifts[sign]
 
 
 def _read_only(arrays: tuple) -> tuple:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -148,14 +149,22 @@ def _scaled(x: BipartiteOperator) -> tuple[np.ndarray, int]:
     return np.ldexp(np.ascontiguousarray(x.mat).view(np.float64), -e).view(np.complex128), e
 
 
+# 64 keys: the witness_radius and certify_grid sweeps of bench/ use 22.
+@lru_cache(maxsize=64)
 def _start_vectors(m: int, n: int, k: int, restarts: int, seed: int) -> np.ndarray:
     """The (restarts, m*n) unit Schmidt-rank-<=k starts: restart r
-    truncates a complex Gaussian drawn from default_rng([seed, r])."""
+    truncates a complex Gaussian drawn from default_rng([seed, r]).
+
+    The array is read-only and cached per key, since the starts depend on
+    nothing else; the cache keeps at most 64 x restarts x m*n x 16 bytes.
+    """
     draws = np.empty((restarts, m * n), dtype=np.complex128)
     for ridx in range(restarts):
         rng = np.random.default_rng([seed, ridx])
         draws[ridx] = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))).reshape(-1)
-    return _sr_unit_vectors(draws, m, n, k)
+    starts = _sr_unit_vectors(draws, m, n, k)
+    starts.flags.writeable = False
+    return starts
 
 
 def _zero_pair(m: int, n: int, seed: int) -> SeeSawResult:
@@ -176,7 +185,8 @@ def _ascend(
     """
     m, n = x.dims
     mat, e = _scaled(x)
-    step, floor, pairs = kernel(mat, e, m, n, k, _start_vectors(m, n, k, restarts, seed))
+    # The see-saw kernel writes into its starts, so it gets its own copy.
+    step, floor, pairs = kernel(mat, e, m, n, k, _start_vectors(m, n, k, restarts, seed).copy())
     live = np.arange(restarts)
     iterations = np.zeros(restarts, dtype=np.int64)
     converged = np.zeros(restarts, dtype=bool)
@@ -419,15 +429,10 @@ def _shifted_sk(
     """c = lambda_max(z) for z = sign * y, and the S(k) bracket of the PSD
     operator cI - z, certified by the pair attaining its lower endpoint.
 
-    The Rayleigh ascent is skipped when the operator-norm bound is at most
-    c + margin.
+    y.psd_shift keeps cI - z, and so its svd, with y.  The Rayleigh ascent
+    is skipped when the operator-norm bound is at most c + margin.
     """
-    m, n = y.dims
-    lam = y.eigh[0]
-    c = float(lam[0]) if sign > 0 else -float(lam[-1])
-    x_mat = c * np.eye(m * n, dtype=np.complex128) - sign * y.mat
-    x_mat = (x_mat + x_mat.conj().T) / 2.0
-    x = BipartiteOperator(x_mat, m, n, hermitian=True)
+    c, x = y.psd_shift(sign)
     return c, _sk_bounds_full(x, k, restarts, max_iter, seed, c + margin, psd=True)
 
 
