@@ -43,7 +43,7 @@ from .errors import InfeasibleError, ParameterError, PreconditionError
 from .kyfan import _check_k
 from .linalg import SINGULAR_ZERO_RTOL, BipartiteOperator, bipartite, realign, realign_inverse, svd
 from .schmidt import DEFAULT_RANK_TOL, PureState
-from .sknorm import NormInterval, _exact_interval, _finish_interval, _sr_unit_vectors, sk_pure
+from .sknorm import NormInterval, _exact_interval, _finish_interval, _sr_unit_vectors
 
 COEFF_PRUNE_RTOL = 1e-12
 DENSITY_TRACE_ATOL = 1e-9
@@ -255,8 +255,9 @@ def gamma_rank_one(v: PureState, w: PureState, k: int) -> float:
     return float(kyfan.k2_dual(v.matrix(), k) * kyfan.k2_dual(w.matrix(), k))
 
 
-def _vec_dual(col: np.ndarray, m: int, n: int, k: int) -> float:
-    return float(kyfan.k2_dual(col.reshape(m, n), k))
+def _running_sum(terms: np.ndarray) -> float:
+    """0.0 + terms[0] + terms[1] + ... left to right (np.sum pairs from 8 terms on)."""
+    return float(np.cumsum(np.append(0.0, terms))[-1])
 
 
 def best_gamma_witness(x: BipartiteOperator, k: int) -> Witness:
@@ -294,16 +295,14 @@ def best_gamma_witness(x: BipartiteOperator, k: int) -> Witness:
         (realigned, 1.0, "realigned_dual", lambda: bipartite(realign_inverse(y, m, n), m, n)),
     ]
     if x.hermitian:
+        # Each eigenprojector's S(k) value is its k leading squared Schmidt coefficients.
         lam, vecs = x.eigh
-        for i in range(lam.size):
-            if abs(lam[i]) <= SINGULAR_ZERO_RTOL * s[0]:
-                continue
-            col = vecs[:, i]
-            sk_val = sk_pure(PureState(col, m, n), k)
-            if sk_val <= 0.0:
-                continue
-            proj = lambda col=col: bipartite(np.outer(col, col.conj()), m, n, symmetrize=True)
-            candidates.append((float(abs(lam[i])), sk_val, "eigenprojector", proj))
+        sk_vals = np.sum(svd(vecs.T.reshape(-1, m, n))[1][:, :k] ** 2, axis=-1)
+        live = np.flatnonzero((np.abs(lam) > SINGULAR_ZERO_RTOL * s[0]) & (sk_vals > 0.0))
+        if live.size:
+            i = live[np.argmax(np.abs(lam[live]) / sk_vals[live])]
+            proj = lambda c=vecs[:, i]: bipartite(np.outer(c, c.conj()), m, n, symmetrize=True)
+            candidates.append((float(abs(lam[i])), float(sk_vals[i]), "eigenprojector", proj))
 
     pairing, sk_upper, method, build = max(candidates, key=lambda c: c[0] / c[1])
     return Witness(build(), sk_upper, pairing, k, method)
@@ -331,12 +330,9 @@ def gamma_bounds(x: BipartiteOperator, k: int) -> NormInterval:
         return _exact_interval(wit.bound, "rank_one_exact", wit)
 
     u, s, vh = x.svd
-    cutoff = SINGULAR_ZERO_RTOL * float(s[0])
-    mixture = 0.0
-    for i in range(s.size):
-        if s[i] <= cutoff:
-            break
-        mixture += float(s[i]) * _vec_dual(u[:, i], m, n, k) * _vec_dual(vh[i, :].conj(), m, n, k)
+    r = int(np.count_nonzero(s > SINGULAR_ZERO_RTOL * float(s[0])))
+    duals = kyfan.k2_dual(np.concatenate([u[:, :r].T, vh[:r].conj()]).reshape(2 * r, m, n), k)
+    mixture = _running_sum(s[:r] * duals[:r] * duals[r:])
     return _finish_interval(wit.bound, mixture, wit.method, "svd_mixture", wit)
 
 
@@ -484,12 +480,10 @@ def robustness_bounds(y: BipartiteOperator, k: int) -> NormInterval:
         return NormInterval(gb.lower, gb.upper, "gamma_exact", "sign_split", True, gb.certificate)
 
     lam, vecs = y.eigh
-    upper = 0.0
-    scale = float(np.max(np.abs(lam)))
-    for i in range(lam.size):
-        if abs(lam[i]) <= SINGULAR_ZERO_RTOL * scale:
-            continue
-        upper += float(abs(lam[i])) * (2.0 * gamma_pure(PureState(vecs[:, i], m, n), 1) - 1.0)
+    live = np.abs(lam) > SINGULAR_ZERO_RTOL * float(np.max(np.abs(lam)))
+    duals = kyfan.k2_dual(vecs.T[live].reshape(-1, m, n), 1)
+    # gamma_pure squares each dual value with pow(), as float_power does.
+    upper = _running_sum(np.abs(lam[live]) * (2.0 * np.float_power(duals, 2) - 1.0))
     return _finish_interval(
         gb.lower, upper, f"gamma_{gb.lower_method}", "pure_split_k1", gb.certificate
     )
@@ -634,13 +628,8 @@ def sn_certify(
 
 def _generators_admissible(dec: Decomposition, tol: float) -> bool:
     """Every generator must be unit within tol and of Schmidt rank <= k."""
-    m, n = dec.dims
-    for row in range(len(dec)):
-        for side in (dec.lefts[row], dec.rights[row]):
-            nrm = float(np.linalg.norm(side))
-            if abs(nrm - 1.0) > max(tol, 1e-9):
-                return False
-            s = svd(side.reshape(m, n))[1]
-            if s.size > dec.k and s[dec.k] > 1e-8 * s[0]:
-                return False
-    return True
+    sides = np.concatenate([dec.lefts, dec.rights])
+    if np.any(np.abs(np.linalg.norm(sides, axis=1) - 1.0) > max(tol, 1e-9)):
+        return False
+    s = svd(sides.reshape(-1, *dec.dims))[1]
+    return s.shape[1] <= dec.k or not np.any(s[:, dec.k] > 1e-8 * s[:, 0])

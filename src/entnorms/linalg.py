@@ -62,14 +62,15 @@ def is_hermitian(mat: np.ndarray) -> bool:
     return float(np.max(np.abs(mat - mat.conj().T))) <= HERMITIAN_RTOL * scale
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteOperator:
     """A square matrix on C^m (x) C^n together with its split (m, n).
 
     The hermitian flag is part of the value: when True the matrix is
     conjugate-symmetric within HERMITIAN_RTOL relative to its largest entry.
     Instances are immutable: a writeable (or borrowed) array is replaced by
-    a read-only copy, so the cached svd and eigh stay valid.
+    a read-only copy, so the cached svd and eigh stay valid.  Equality and
+    hashing go by identity, as arrays have no single-valued equality.
     """
 
     mat: np.ndarray

@@ -1,6 +1,7 @@
 """Independent reference computations the tests freeze expected values against."""
 
 import itertools
+import math
 
 import numpy as np
 from scipy.optimize import linprog, minimize
@@ -363,3 +364,46 @@ def full_span_lp_ref(x, lefts, rights):
     if res.status != 0:
         raise RuntimeError("full-span reference program failed")
     return float(res.fun) * tn
+
+
+def k2_dual_loop_ref(sigma, k, tie_guard=1e-12, zero_rtol=1e-14):
+    """The (k,2)-dual closed form on one descending profile, one break
+    candidate at a time, in Python floats.
+
+    Entries below zero_rtol times the first count as zero.  Candidates
+    k - 1, ..., 1 are tried from the top; the first whose entry exceeds
+    the remaining tail spread over the k - cand slots left, by more than
+    tie_guard times the first entry, is r.  The value is computed on the
+    profile scaled by the power of two that puts its first entry in
+    [1/2, 1), while r and sigma_tilde come from the unscaled profile.
+    Returns (r, sigma_tilde, value).
+    """
+
+    def cut(arr):
+        arr = np.clip(np.asarray(arr, dtype=np.float64), 0.0, None)
+        if arr[0] > 0.0:
+            arr[arr < zero_rtol * arr[0]] = 0.0
+        return arr
+
+    def brk(clean):
+        guard = tie_guard * float(clean[0])
+        total = float(np.sum(clean))
+
+        def tail(r):
+            return total - float(np.sum(clean[:r])) if r < clean.size else 0.0
+
+        r = 0
+        for cand in range(k - 1, 0, -1):
+            s_cand = float(clean[cand - 1]) if cand <= clean.size else 0.0
+            if s_cand > tail(cand) / (k - cand) + guard:
+                r = cand
+                break
+        return r, tail(r) / (k - r)
+
+    clean = cut(sigma)
+    exp = math.frexp(float(clean[0]))[1]
+    unit = np.ldexp(clean, -exp)
+    r, sigma_tilde = brk(unit)
+    head = float(np.sum(unit[:r] ** 2))
+    value = math.ldexp(math.sqrt(head + (k - r) * sigma_tilde**2), exp)
+    return (*brk(clean), value)

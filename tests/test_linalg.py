@@ -308,3 +308,12 @@ def test_operator_keeps_a_frozen_copy(make):
     assert x.svd[1] is s and np.array_equal(s, svd(BELL_RHO)[1])
     with pytest.raises(ValueError):
         x.svd[0][0, 0] = 1.0
+
+
+def test_operators_compare_and_hash_by_identity():
+    # Entrywise equal matrices still make two operators, each with its
+    # own cached factors; comparing them must not compare arrays.
+    x, y = bipartite(np.eye(4), 2, 2), bipartite(np.eye(4), 2, 2)
+    assert x == x and x != y and not (x == y)
+    assert hash(x) == hash(x)
+    assert len({x, y, x}) == 2
