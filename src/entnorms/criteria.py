@@ -27,7 +27,7 @@ from . import kyfan
 from .dualnorms import _require_density, gamma_bounds
 from .errors import EntnormsError, NumericalError, ParameterError, PreconditionError
 from .kyfan import _check_k
-from .linalg import BipartiteOperator, bipartite, eig_hermitian, realign, svd
+from .linalg import BipartiteOperator, bipartite, eig_hermitian
 from .schmidt import PureState
 
 DETECTION_TOL = 1e-9
@@ -66,7 +66,7 @@ def realignment_value(rho: BipartiteOperator, k: int) -> float:
     """
     m, n = rho.dims
     _check_k(m, n, k)
-    return float(kyfan.k2_dual(realign(rho), k * k))
+    return float(kyfan._dual_rows(rho.realigned_svd[1], k * k)[2])
 
 
 def detect_schmidt_number(
@@ -117,7 +117,7 @@ def weak_realignment(rho: BipartiteOperator, k: int, tol: float = DETECTION_TOL)
     _require_density(rho, "weak_realignment")
     m, n = rho.dims
     _check_k(m, n, k)
-    value = float(np.sum(svd(realign(rho))[1]))
+    value = float(np.sum(rho.realigned_svd[1]))
     return DetectionReport(
         criterion="weak_realign",
         k=k,

@@ -41,7 +41,7 @@ import numpy as np
 from . import kyfan
 from .errors import InfeasibleError, ParameterError, PreconditionError
 from .kyfan import _check_k
-from .linalg import SINGULAR_ZERO_RTOL, BipartiteOperator, bipartite, realign, realign_inverse, svd
+from .linalg import SINGULAR_ZERO_RTOL, BipartiteOperator, bipartite, realign_inverse, svd
 from .schmidt import DEFAULT_RANK_TOL, PureState
 from .sknorm import NormInterval, _exact_interval, _finish_interval, _sr_unit_vectors
 
@@ -166,9 +166,9 @@ def _svd_atoms(x: BipartiteOperator, k: int) -> tuple[np.ndarray, np.ndarray, np
     triple, then left chunk, then right chunk.
     """
     m, n = x.dims
-    u, s, vh = x.svd
-    r = int(np.count_nonzero(s > SINGULAR_ZERO_RTOL * float(s[0])))
-    uu, sv, svh = svd(np.concatenate([u[:, :r].T, vh[:r].conj()]).reshape(2 * r, m, n))
+    s = x.svd[1]
+    uu, sv, svh = x.singular_schmidt
+    r = sv.shape[0] // 2
     sv = np.where(sv > DEFAULT_RANK_TOL * sv[:, :1], sv, 0.0)
     pieces, weights = [], []
     for g in range(0, sv.shape[1], k):
@@ -280,8 +280,9 @@ def best_gamma_witness(x: BipartiteOperator, k: int) -> Witness:
     if s[0] <= 0.0:
         raise ParameterError("the zero operator admits no witness")
     if k < min(m, n) and (s.size == 1 or s[1] <= SINGULAR_ZERO_RTOL * s[0]):
-        a, _ = kyfan.k2_dual_attainer(u[:, 0].reshape(m, n), k)
-        b, _ = kyfan.k2_dual_attainer(vh[0, :].conj().reshape(m, n), k)
+        uu, sv, svh = x.singular_schmidt
+        a, _ = kyfan._attainer_from_svd(uu[0], sv[0], svh[0], k)
+        b, _ = kyfan._attainer_from_svd(uu[1], sv[1], svh[1], k)
         ketbra = np.outer(a.reshape(-1), b.reshape(-1).conj())
         pairing = float(abs(np.vdot(ketbra, x.mat)))
         return Witness(bipartite(ketbra, m, n), 1.0, pairing, k, "dual_ketbra")
@@ -289,7 +290,7 @@ def best_gamma_witness(x: BipartiteOperator, k: int) -> Witness:
         return Witness(bipartite(u @ vh, m, n), 1.0, float(np.sum(s)), k, "sign_unitary")
 
     # Candidates are scored by pairing / sk_upper; only the winner is built.
-    y, realigned = kyfan.k2_dual_attainer(realign(x), k * k)
+    y, realigned = kyfan._attainer_from_svd(*x.realigned_svd, k * k)
     candidates = [
         (float(np.sum(s)), 1.0, "sign_unitary", lambda: bipartite(u @ vh, m, n)),
         (realigned, 1.0, "realigned_dual", lambda: bipartite(realign_inverse(y, m, n), m, n)),
@@ -297,7 +298,7 @@ def best_gamma_witness(x: BipartiteOperator, k: int) -> Witness:
     if x.hermitian:
         # Each eigenprojector's S(k) value is its k leading squared Schmidt coefficients.
         lam, vecs = x.eigh
-        sk_vals = np.sum(svd(vecs.T.reshape(-1, m, n))[1][:, :k] ** 2, axis=-1)
+        sk_vals = np.sum(x.eigen_schmidt[1][:, :k] ** 2, axis=-1)
         live = np.flatnonzero((np.abs(lam) > SINGULAR_ZERO_RTOL * s[0]) & (sk_vals > 0.0))
         if live.size:
             i = live[np.argmax(np.abs(lam[live]) / sk_vals[live])]
@@ -329,10 +330,8 @@ def gamma_bounds(x: BipartiteOperator, k: int) -> NormInterval:
     if wit.method == "dual_ketbra":
         return _exact_interval(wit.bound, "rank_one_exact", wit)
 
-    u, s, vh = x.svd
-    r = int(np.count_nonzero(s > SINGULAR_ZERO_RTOL * float(s[0])))
-    duals = kyfan.k2_dual(np.concatenate([u[:, :r].T, vh[:r].conj()]).reshape(2 * r, m, n), k)
-    mixture = _running_sum(s[:r] * duals[:r] * duals[r:])
+    duals = kyfan._dual_rows(x.singular_schmidt[1], k)[2].reshape(2, -1)
+    mixture = _running_sum(x.svd[1][: duals.shape[1]] * duals[0] * duals[1])
     return _finish_interval(wit.bound, mixture, wit.method, "svd_mixture", wit)
 
 
@@ -479,9 +478,9 @@ def robustness_bounds(y: BipartiteOperator, k: int) -> NormInterval:
         # sign is admissible at full k and matches the gamma lower bound.
         return NormInterval(gb.lower, gb.upper, "gamma_exact", "sign_split", True, gb.certificate)
 
-    lam, vecs = y.eigh
+    lam = y.eigh[0]
     live = np.abs(lam) > SINGULAR_ZERO_RTOL * float(np.max(np.abs(lam)))
-    duals = kyfan.k2_dual(vecs.T[live].reshape(-1, m, n), 1)
+    duals = kyfan._dual_rows(y.eigen_schmidt[1][live], 1)[2]
     # gamma_pure squares each dual value with pow(), as float_power does.
     upper = _running_sum(np.abs(lam[live]) * (2.0 * np.float_power(duals, 2) - 1.0))
     return _finish_interval(

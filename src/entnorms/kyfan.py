@@ -18,9 +18,10 @@ t = (sum of s_i for i > r) / (k - r), the dual value is
 At k = 1 this reduces to the trace norm, at k = min(m, n) to the Frobenius
 norm, and for rank(X) <= k it equals the Frobenius norm as well.
 
-k2_dual also takes a stack (..., m, n), one value per matrix: one stacked
-svd and one kernel pass over all the profiles, so a set of vectors (say an
-operator's eigenvectors) is Schmidt-decomposed once per call.
+k2_dual also takes a stack (..., m, n), one value per matrix.  _dual_rows and
+_attainer_from_svd take profiles or factors: the gamma side passes the Schmidt
+and realignment svds a BipartiteOperator computes on first read and keeps for
+every k (about 0.5 MiB at 8x8; a one-shot process still pays each once).
 """
 
 from __future__ import annotations
@@ -133,7 +134,11 @@ def k2_dual_attainer(mat, k: int) -> tuple[np.ndarray, float]:
     """A unit-(k,2)-norm Y with Re tr(Y^dag mat) = k2_dual(mat, k), and that
     value: mat's singular frames with the profile past the break index
     flattened to sigma_tilde, divided by the dual value."""
-    u, s, vh = _checked_svd(_as_complex_matrix(mat), k)
+    return _attainer_from_svd(*_checked_svd(_as_complex_matrix(mat), k), k)
+
+
+def _attainer_from_svd(u: np.ndarray, s: np.ndarray, vh: np.ndarray, k: int) -> tuple[np.ndarray, float]:
+    """k2_dual_attainer of the matrix u diag(s) vh, from its svd factors."""
     r, sigma_tilde, value = _dual_rows(s, k)
     if value <= 0.0:
         raise DegenerateInputError("the zero matrix has no attaining dual matrix")

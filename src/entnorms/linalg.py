@@ -6,8 +6,8 @@ position i*n + k.  All reshapes below are plain views under this
 convention, so realignment and partial transpose are entry permutations
 and preserve the Frobenius norm exactly.
 
-A BipartiteOperator is decomposed at most once: its svd and eigh properties
-run svd() and eig_hermitian() on first read and keep the read-only factors.
+A BipartiteOperator is decomposed at most once: its svd, eigh, Schmidt and
+realignment svds are computed on first read and kept as read-only factors.
 svd() also accepts a stack of shape (..., m, n) and decomposes every matrix
 in one call, which the see-saw and the Schmidt truncations use to avoid a
 Python round trip per small matrix.
@@ -37,7 +37,7 @@ SINGULAR_ZERO_RTOL = 1e-14
 # Testing hook: when set, svd() and the stacked eigh of _top_eigenpairs()
 # raise NumericalError.  Used by the CLI's --inject-svd-failure flag to
 # exercise the numerical-failure exit path; cached work is not redone, so
-# it does not fail: an operator's svd and kept shifts, the search starts.
+# it does not fail: an operator's kept decompositions and shifts, the search starts.
 _SVD_FAILURE_INJECTED = False
 
 
@@ -69,7 +69,10 @@ class BipartiteOperator:
     The hermitian flag is part of the value: when True the matrix is
     conjugate-symmetric within HERMITIAN_RTOL relative to its largest entry.
     Instances are immutable: a writeable (or borrowed) array is replaced by
-    a read-only copy, so the cached svd and eigh stay valid.  Equality and
+    a read-only copy, so the cached factors stay valid.  Each decomposition
+    below runs on its first read and is kept with the operator (at 8x8 all
+    five hold about 0.7 MiB): further k and entry points reuse it, while a
+    one-shot process still pays each one once.  Equality and
     hashing go by identity, as arrays have no single-valued equality.
     """
 
@@ -106,6 +109,24 @@ class BipartiteOperator:
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """eig_hermitian(mat) as read-only (w, V), computed on first read."""
         return _read_only(eig_hermitian(self.mat))
+
+    @cached_property
+    def singular_schmidt(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stacked Schmidt svd of the r live singular vectors u_i, then conj(w_i):
+        read-only (2r, ...) factors; r counts s_i > SINGULAR_ZERO_RTOL * s_0."""
+        u, s, vh = self.svd
+        r = int(np.count_nonzero(s > SINGULAR_ZERO_RTOL * float(s[0])))
+        return _read_only(svd(np.concatenate([u[:, :r].T, vh[:r].conj()]).reshape(2 * r, *self.dims)))
+
+    @cached_property
+    def eigen_schmidt(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stacked Schmidt svd of eigh's eigenvectors, in order (hermitian only)."""
+        return _read_only(svd(self.eigh[1].T.reshape(-1, *self.dims)))
+
+    @cached_property
+    def realigned_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """svd(realign(self)) as read-only (u, s, vh), computed on first read."""
+        return _read_only(svd(realign(self)))
 
     def psd_shift(self, sign: float) -> tuple[float, BipartiteOperator]:
         """(c, cI - z) for z = sign * mat and c = lambda_max(z), a PSD operator;

@@ -6,8 +6,12 @@ The chain |x|_S(k) <= |x|_op <= |x|_1 <= gamma_k holds for every such
 operator, and the sign unitary of x already attains |x|_1, so no
 Schmidt-rank-<=k ket-bra (whose pairing is at most |x|_op) can improve
 on the witness that best_gamma_witness returns.  The lower endpoint of
-every gamma bracket is the bound of the witness it carries.
+every gamma bracket is the bound of the witness it carries, and both
+endpoints are homogeneous of degree one under exact power-of-two
+scalings far from unit scale.
 """
+
+import pytest
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -20,14 +24,19 @@ from entnorms.sknorm import sk_bounds
 
 REL = 1e-12
 
+_FLOATS = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+# Entries are 0 or at least 2^-100 in magnitude, so 2^-600 times any
+# entry of a case (a product of two entries and a power of ten at least
+# 1e-3) is still a normal float and every scaling below is exact.
+_SCALABLE = _FLOATS.map(lambda v: v if abs(v) >= 2.0**-100 else 0.0)
+
 
 @st.composite
-def operator_cases(draw):
+def operator_cases(draw, entries=_FLOATS):
     m = draw(st.integers(1, 3))
     n = draw(st.integers(1, 3))
     k = draw(st.integers(1, min(m, n)))
     d = m * n
-    entries = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
     if draw(st.booleans()):  # rank one
         a = draw(arrays(np.float64, (2, d), elements=entries))
         b = draw(arrays(np.float64, (2, d), elements=entries))
@@ -68,3 +77,14 @@ def test_certificate_attains_the_lower_endpoint(case):
     mat, m, n, k = case
     iv = gamma_bounds(bipartite(mat, m, n), k)
     assert iv.lower <= iv.certificate.bound <= iv.lower * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("exponent", [-600, 600])
+@settings(max_examples=100, deadline=None)
+@given(case=operator_cases(_SCALABLE))
+def test_gamma_bracket_is_homogeneous(exponent, case):
+    mat, m, n, k = case
+    iv = gamma_bounds(bipartite(mat, m, n), k)
+    scaled = gamma_bounds(bipartite(np.ldexp(1.0, exponent) * mat, m, n), k)
+    for end, end_scaled in ((iv.lower, scaled.lower), (iv.upper, scaled.upper)):
+        assert abs(np.ldexp(end_scaled, -exponent) - end) <= REL * abs(end)

@@ -4,10 +4,13 @@ Random hermitian operators on splits up to 3x3 at k in {1, 2}: the
 bracket is symmetric under y -> -y, ordered, and lies between the
 largest product-basis value max_i |y_ii| and the operator norm.  The
 flip operators and the witnesses W_k = k I - d |Phi+><Phi+| have known
-radii, which both entry points must contain exactly.
+radii, which both entry points must contain exactly.  The
+prod_radius_bounds endpoints are homogeneous of degree one under exact
+power-of-two scalings far from unit scale.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -17,14 +20,19 @@ from entnorms.sknorm import prod_radius_bisect, prod_radius_bounds
 
 REL = 1e-12
 
+_FLOATS = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+# Entries are 0 or at least 2^-100 in magnitude, so 2^-600 times any of
+# them (halved by the hermitian part) is still a normal float and every
+# scaling below is exact.
+_SCALABLE = _FLOATS.map(lambda v: v if abs(v) >= 2.0**-100 else 0.0)
+
 
 @st.composite
-def hermitian_cases(draw):
+def hermitian_cases(draw, entries=_FLOATS):
     m = draw(st.integers(1, 3))
     n = draw(st.integers(1, 3))
     k = draw(st.sampled_from([kk for kk in (1, 2) if kk <= min(m, n)]))
     d = m * n
-    entries = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
     re = draw(arrays(np.float64, (d, d), elements=entries))
     im = draw(arrays(np.float64, (d, d), elements=entries))
     g = re + 1j * im
@@ -72,3 +80,14 @@ def test_analytic_radii_are_contained():
     for y, k, radius in cases:
         for iv in (prod_radius_bounds(y, k), prod_radius_bisect(y, k)):
             assert iv.lower <= radius <= iv.upper, (y.dims, k, iv)
+
+
+@pytest.mark.parametrize("exponent", [-600, 600])
+@settings(max_examples=100, deadline=None)
+@given(case=hermitian_cases(_SCALABLE))
+def test_radius_bracket_is_homogeneous(exponent, case):
+    mat, m, n, k = case
+    iv = prod_radius_bounds(bipartite(mat, m, n), k, restarts=8)
+    scaled = prod_radius_bounds(bipartite(np.ldexp(1.0, exponent) * mat, m, n), k, restarts=8)
+    for end, end_scaled in ((iv.lower, scaled.lower), (iv.upper, scaled.upper)):
+        assert abs(np.ldexp(end_scaled, -exponent) - end) <= REL * abs(end)
