@@ -14,7 +14,8 @@ The filter is the normal-form iteration of Verstraete, Dehaene and De Moor
 (PRA 68, 012103, 2003); its details (pseudo-inverse square roots on
 supports, trace renormalization, tolerance, iteration cap) are chosen here,
 and only the filter-then-detect composition is part of the criterion.  Its
-iterates stay plain arrays: only the entry points validate and wrap.
+iterates stay plain arrays: only the entry points validate and wrap.  A
+density keeps its k-independent filter result, so no k reruns the rounds.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from . import kyfan
 from .dualnorms import _require_density, gamma_bounds
 from .errors import EntnormsError, NumericalError, ParameterError, PreconditionError
 from .kyfan import _check_k
-from .linalg import BipartiteOperator, bipartite, eig_hermitian
+from .linalg import BipartiteOperator, _read_only, bipartite, eig_hermitian
 from .schmidt import PureState
 
 DETECTION_TOL = 1e-9
@@ -173,7 +174,8 @@ class FilterResult:
     """Filtered state with the accumulated local maps.
 
     rho equals (f_a tensor f_b) rho_in (f_a tensor f_b)^dag up to trace
-    normalization.  iterations counts completed whitening rounds; converged
+    normalization; f_a and f_b are read-only, as the result is kept with
+    rho_in.  iterations counts completed whitening rounds; converged
     reports whether both marginals ended within tolerance of maximally
     mixed on their supports.
     """
@@ -219,11 +221,18 @@ def local_filter(rho: BipartiteOperator, max_iter: int = FILTER_MAX_ITER) -> Fil
     their supports, or after max_iter rounds with converged=False.  On a
     pure state one round flattens the Schmidt coefficients exactly.  The
     iterates are plain arrays (marginals read their (m, n, m, n) view); only
-    the returned state is wrapped as a BipartiteOperator.
+    the returned state is wrapped as a BipartiteOperator.  The result is kept
+    with rho per max_iter and later calls return the same object; a filter
+    that raises is not kept.  At 8x8 a kept result holds about 0.2 MiB, with
+    the filtered state's realignment svd.
     """
     _require_density(rho, "local_filter")
     if max_iter < 0:
         raise ParameterError(f"max_iter must be >= 0, got {max_iter}")
+    return rho._keep(("filter", max_iter), lambda: _filter(rho, max_iter))
+
+
+def _filter(rho: BipartiteOperator, max_iter: int) -> FilterResult:
     m, n = rho.dims
     work = (rho.mat + rho.mat.conj().T) / 2.0
     f_a = np.eye(m, dtype=np.complex128)
@@ -235,7 +244,7 @@ def local_filter(rho: BipartiteOperator, max_iter: int = FILTER_MAX_ITER) -> Fil
         flat_a = _flatness(spec_a) <= FILTER_TOL
         converged = flat_a and _flatness(_support_spectrum(np.einsum("ikil->kl", t))) <= FILTER_TOL
         if converged or iterations == max_iter:
-            return FilterResult(bipartite(work, m, n), f_a, f_b, converged, iterations)
+            return FilterResult(bipartite(work, m, n), *_read_only((f_a, f_b)), converged, iterations)
 
         step_a = _pinv_sqrt(spec_a)
         work = _whiten(work, step_a, "A")

@@ -37,7 +37,7 @@ SINGULAR_ZERO_RTOL = 1e-14
 # Testing hook: when set, svd() and the stacked eigh of _top_eigenpairs()
 # raise NumericalError.  Used by the CLI's --inject-svd-failure flag to
 # exercise the numerical-failure exit path; cached work is not redone, so
-# it does not fail: an operator's kept decompositions and shifts, the search starts.
+# it does not fail: an operator's kept decompositions, shifts and filters, the search starts.
 _SVD_FAILURE_INJECTED = False
 
 
@@ -71,9 +71,9 @@ class BipartiteOperator:
     Instances are immutable: a writeable (or borrowed) array is replaced by
     a read-only copy, so the cached factors stay valid.  Each decomposition
     below runs on its first read and is kept with the operator (at 8x8 all
-    five hold about 0.7 MiB): further k and entry points reuse it, while a
-    one-shot process still pays each one once.  Equality and
-    hashing go by identity, as arrays have no single-valued equality.
+    five hold about 0.7 MiB, a kept local filter 0.2 MiB more): further k
+    and entry points reuse it; a one-shot process still pays each one once.
+    Operators compare and hash by identity, as array equality is elementwise.
     """
 
     mat: np.ndarray
@@ -128,18 +128,24 @@ class BipartiteOperator:
         """svd(realign(self)) as read-only (u, s, vh), computed on first read."""
         return _read_only(svd(realign(self)))
 
+    def _keep(self, key, build):
+        """build(), kept under key from its first successful run on."""
+        kept = self.__dict__.setdefault("_kept", {})
+        if key not in kept:
+            kept[key] = build()
+        return kept[key]
+
     def psd_shift(self, sign: float) -> tuple[float, BipartiteOperator]:
         """(c, cI - z) for z = sign * mat and c = lambda_max(z), a PSD operator;
         built on first request per sign and kept, like svd and eigh, so its
         own cached svd is computed once too.  Requires a hermitian operator."""
-        shifts = self.__dict__.setdefault("_psd_shifts", {})
-        if sign not in shifts:
+        def build():
             lam = self.eigh[0]
             c = float(lam[0]) if sign > 0 else -float(lam[-1])
             x_mat = c * np.eye(self.mat.shape[0], dtype=np.complex128) - sign * self.mat
             x_mat = (x_mat + x_mat.conj().T) / 2.0
-            shifts[sign] = (c, BipartiteOperator(x_mat, self.dim_a, self.dim_b, hermitian=True))
-        return shifts[sign]
+            return c, BipartiteOperator(x_mat, self.dim_a, self.dim_b, hermitian=True)
+        return self._keep(("psd_shift", sign), build)
 
 
 def _read_only(arrays: tuple) -> tuple:

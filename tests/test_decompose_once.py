@@ -6,8 +6,9 @@ whose argument equals the operator's own matrix.  A second call on the same
 operator reads the cached factors and never decomposes that matrix
 again; on the gamma side and the realignment criteria it makes no svd
 or eigh at all, since the Schmidt profiles and the realignment svd are
-kept with the operator too.  A warm operator answers every entry point
-and every k bit for bit as a cold one does.
+kept with the operator too, and so is a density's local filter.  A warm
+operator answers every entry point and every k bit for bit as a cold one
+does.
 """
 
 import dataclasses
@@ -25,12 +26,14 @@ from entnorms import (
     detect_schmidt_number,
     gamma_bounds,
     generate,
+    local_filter,
     prod_radius_bounds,
     robustness_bounds,
     sn_certify,
     weak_realignment,
 )
-from entnorms.errors import PreconditionError
+from entnorms import criteria
+from entnorms.errors import NumericalError, PreconditionError
 
 
 def _isotropic(p):
@@ -69,6 +72,8 @@ REPEAT_FREE = {
     "sn_certify": CALLS["sn_certify"],
     "cross_norm_test": CALLS["cross_norm_test"],
     "detect_schmidt_number_raw": lambda x: detect_schmidt_number(x, 1),
+    "detect_schmidt_number": CALLS["detect_schmidt_number"],
+    "local_filter": local_filter,
     "weak_realignment": lambda x: weak_realignment(x, 1),
 }
 
@@ -212,3 +217,59 @@ def test_cached_factors_are_read_only():
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 0.0
         assert getattr(x, member) is getattr(x, member)
+    # The isotropic state is already in normal form; the Ginibre density
+    # takes whitening rounds.
+    for rho in (x, _ginibre_density()):
+        fr = local_filter(rho)
+        assert fr is local_filter(rho)
+        for arr in (fr.f_a, fr.f_b, fr.rho.mat):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
+
+
+def test_filtered_detection_filters_once_per_density(monkeypatch):
+    whiten, rounds = criteria._whiten, []
+
+    def counting(*args):
+        rounds[-1] += 1
+        return whiten(*args)
+
+    monkeypatch.setattr(criteria, "_whiten", counting)
+
+    def scan(x):
+        for k in (1, 2, 3):
+            rounds.append(0)
+            detect_schmidt_number(x, k, use_filter=True)
+
+    spy = Spy(monkeypatch)
+    _, _, every_scan = spy.run(scan, _ginibre_density())
+    assert rounds[0] > 0 and rounds[1:] == [0, 0]
+    _, _, every_k1 = spy.run(CALLS["detect_schmidt_number"], _ginibre_density())
+    assert every_scan == every_k1
+
+
+def test_each_filter_cap_is_kept_apart():
+    x = _ginibre_density()
+    capped, full = local_filter(x, max_iter=0), local_filter(x)
+    assert capped is not full and capped.iterations == 0 < full.iterations
+    assert local_filter(x, max_iter=0) is capped and local_filter(x) is full
+    assert _value(capped) == _value(local_filter(_ginibre_density(), max_iter=0))
+    assert _value(full) == _value(local_filter(_ginibre_density()))
+
+
+def test_a_failed_filter_is_not_kept(monkeypatch):
+    support, failures = criteria._support_spectrum, [NumericalError("injected")]
+
+    def failing_once(marginal):
+        if failures:
+            raise failures.pop()
+        return support(marginal)
+
+    monkeypatch.setattr(criteria, "_support_spectrum", failing_once)
+    x = _ginibre_density()
+    fallback = detect_schmidt_number(x, 1, use_filter=True)
+    assert not failures
+    assert _value(fallback) == _value(detect_schmidt_number(x, 1))
+    cold = detect_schmidt_number(_ginibre_density(), 1, use_filter=True)
+    assert cold.filtered and cold.detected
+    assert _value(detect_schmidt_number(x, 1, use_filter=True)) == _value(cold)
