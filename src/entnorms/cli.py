@@ -35,7 +35,7 @@ import numpy as np
 from . import criteria, dualnorms, kyfan, sknorm, states
 from .errors import ParameterError
 from .linalg import BipartiteOperator, bipartite, inject_svd_failure, kron, partial_transpose, swap_operator
-from .schmidt import PureState, pure_state, schmidt_decompose, s_k_dual
+from .schmidt import DEFAULT_RANK_TOL, PureState, pure_state, schmidt_decompose, s_k_dual
 from .sknorm import NormInterval
 
 _FILE_KINDS = ("state_vector", "operator", "density")
@@ -186,7 +186,7 @@ def _seesaw_kwargs(args) -> dict:
 def _cmd_schmidt(args):
     value, warnings, digest = _load(args.file)
     v = _as_pure(value, "schmidt")
-    tol = args.tol if args.tol is not None else 1e-10
+    tol = args.tol if args.tol is not None else DEFAULT_RANK_TOL
     sd = schmidt_decompose(v, tol=tol)
     result = {
         "rank": sd.rank,
@@ -244,7 +244,7 @@ def _cmd_detect(args):
 def _cmd_blockpos(args):
     value, warnings, digest = _load(args.file)
     y = _as_operator(value)
-    tol = args.tol if args.tol is not None else 1e-9
+    tol = args.tol if args.tol is not None else sknorm.BLOCK_POSITIVITY_TOL
     res = sknorm.block_positivity_check(y, args.k, tol=tol, **_seesaw_kwargs(args))
     result = {
         "verdict": res.verdict,

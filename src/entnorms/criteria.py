@@ -16,6 +16,8 @@ supports, trace renormalization, tolerance, iteration cap) are chosen here,
 and only the filter-then-detect composition is part of the criterion.  Its
 iterates stay plain arrays: only the entry points validate and wrap.  A
 density keeps its k-independent filter result, so no k reruns the rounds.
+A decision tolerance tol must be finite and nonnegative: the entry points
+raise ParameterError on any other before doing any work.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .errors import EntnormsError, NumericalError, ParameterError, PreconditionE
 from .kyfan import _check_k
 from .linalg import BipartiteOperator, _read_only, bipartite, eig_hermitian
 from .schmidt import PureState
+from .sknorm import _check_tol
 
 DETECTION_TOL = 1e-9
 FILTER_TOL = 1e-9
@@ -41,7 +44,7 @@ SUPPORT_CUTOFF_RTOL = 1e-12
 class DetectionReport:
     """Outcome of one detection criterion on one input.
 
-    detected is always value > threshold + tol; for gen_realign and
+    detected is derived, value > threshold + tol; for gen_realign and
     weak_realign on density matrices a detection certifies SN > k.
     filtered marks reports whose value came from the filtered state.
     """
@@ -50,13 +53,12 @@ class DetectionReport:
     k: int
     value: float
     threshold: float
-    detected: bool
     filtered: bool
     tol: float
 
-    def __post_init__(self):
-        if self.detected != (self.value > self.threshold + self.tol):
-            raise ParameterError("detected flag inconsistent with value and threshold")
+    @property
+    def detected(self) -> bool:
+        return self.value > self.threshold + self.tol
 
 
 def realignment_value(rho: BipartiteOperator, k: int) -> float:
@@ -85,6 +87,7 @@ def detect_schmidt_number(
     the raw value, and one that stops unconverged still supplies its last
     iterate's value, as every iterate is a local operation on rho.
     """
+    _check_tol(tol)
     _require_density(rho, "detect_schmidt_number")
     value = realignment_value(rho, k)
     filtered = False
@@ -97,15 +100,7 @@ def detect_schmidt_number(
         if fval is not None and fval > value:
             value = fval
             filtered = True
-    return DetectionReport(
-        criterion="gen_realign",
-        k=k,
-        value=value,
-        threshold=1.0,
-        detected=value > 1.0 + tol,
-        filtered=filtered,
-        tol=tol,
-    )
+    return DetectionReport("gen_realign", k, value, 1.0, filtered=filtered, tol=tol)
 
 
 def weak_realignment(rho: BipartiteOperator, k: int, tol: float = DETECTION_TOL) -> DetectionReport:
@@ -115,19 +110,12 @@ def weak_realignment(rho: BipartiteOperator, k: int, tol: float = DETECTION_TOL)
     k times the dual (k^2,2) value, so every weak detection is also a
     detection of the generalized criterion.
     """
+    _check_tol(tol)
     _require_density(rho, "weak_realignment")
     m, n = rho.dims
     _check_k(m, n, k)
     value = float(np.sum(rho.realigned_svd[1]))
-    return DetectionReport(
-        criterion="weak_realign",
-        k=k,
-        value=value,
-        threshold=float(k),
-        detected=value > float(k) + tol,
-        filtered=False,
-        tol=tol,
-    )
+    return DetectionReport("weak_realign", k, value, float(k), filtered=False, tol=tol)
 
 
 def cross_norm_test(rho: BipartiteOperator, k: int, tol: float = DETECTION_TOL) -> DetectionReport:
@@ -139,17 +127,10 @@ def cross_norm_test(rho: BipartiteOperator, k: int, tol: float = DETECTION_TOL) 
     eigendecomposition, each computed once and kept on rho; no search is
     involved.
     """
+    _check_tol(tol)
     _require_density(rho, "cross_norm_test")
     gb = gamma_bounds(rho, k)
-    return DetectionReport(
-        criterion="cross_norm",
-        k=k,
-        value=gb.lower,
-        threshold=1.0,
-        detected=gb.lower > 1.0 + tol,
-        filtered=False,
-        tol=tol,
-    )
+    return DetectionReport("cross_norm", k, gb.lower, 1.0, filtered=False, tol=tol)
 
 
 def pure_state_sr_test(v: PureState, k: int, tol: float = DETECTION_TOL) -> str:
@@ -159,6 +140,7 @@ def pure_state_sr_test(v: PureState, k: int, tol: float = DETECTION_TOL) -> str:
     Agrees with schmidt_rank on every input: the value is 1 exactly at
     SR <= k and strictly larger otherwise.
     """
+    _check_tol(tol)
     m, n = v.dims
     _check_k(m, n, k)
     nrm = v.norm()

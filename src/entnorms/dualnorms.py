@@ -43,7 +43,7 @@ from .errors import InfeasibleError, ParameterError, PreconditionError
 from .kyfan import _check_k
 from .linalg import SINGULAR_ZERO_RTOL, BipartiteOperator, bipartite, realign_inverse, svd
 from .schmidt import DEFAULT_RANK_TOL, PureState
-from .sknorm import NormInterval, _exact_interval, _finish_interval, _sr_unit_vectors
+from .sknorm import NormInterval, _check_tol, _exact_interval, _finish_interval, _sr_unit_vectors
 
 COEFF_PRUNE_RTOL = 1e-12
 DENSITY_TRACE_ATOL = 1e-9
@@ -476,7 +476,7 @@ def robustness_bounds(y: BipartiteOperator, k: int) -> NormInterval:
     if gb.exact and k == min(m, n):
         # R_min equals the trace norm as well: splitting the eigenvalues by
         # sign is admissible at full k and matches the gamma lower bound.
-        return NormInterval(gb.lower, gb.upper, "gamma_exact", "sign_split", True, gb.certificate)
+        return _finish_interval(gb.lower, gb.upper, "gamma_exact", "sign_split", gb.certificate)
 
     lam = y.eigh[0]
     live = np.abs(lam) > SINGULAR_ZERO_RTOL * float(np.max(np.abs(lam)))
@@ -490,11 +490,11 @@ def robustness_bounds(y: BipartiteOperator, k: int) -> NormInterval:
 
 def robustness_to_entanglement(r: NormInterval) -> NormInterval:
     """Rescale a robustness interval for a density matrix to the
-    generalized-robustness convention E = (R - 1) / 2."""
-    # The shift can move a value next to 0, where a relative width no
-    # longer holds, so only identical endpoints stay exact.
+    generalized-robustness convention E = (R - 1) / 2.  exact is judged on
+    E's own endpoints: R = [2, 2 + 5e-10] gives the exact [0.5, 0.5 + 2.5e-10],
+    R = [1, 1 + 1e-10] the inexact [0, 5e-11]."""
     lower, upper = (r.lower - 1.0) / 2.0, (r.upper - 1.0) / 2.0
-    return NormInterval(lower, upper, r.lower_method, r.upper_method, r.exact and lower == upper)
+    return NormInterval(lower, upper, r.lower_method, r.upper_method)
 
 
 @dataclass(frozen=True)
@@ -502,18 +502,27 @@ class ConjectureProbe:
     """Numerical comparison of the closed-form candidate 2 gamma_k - 1
     against the certified robustness bracket of a pure-state projector.
 
-    inside reports containment up to 1e-9; gap is how far outside the
-    bracket the candidate lands (0 when inside).  This never asserts the
-    equality: in_open_regime marks the k where it is unproven either way.
+    gap (how far outside the bracket the candidate lands, 0 when inside),
+    inside (containment up to 1e-9) and in_open_regime (the k where the
+    equality is unproven either way) are derived; none asserts the equality.
     """
 
     k: int
     dims: tuple[int, int]
     candidate: float
     interval: NormInterval
-    inside: bool
-    gap: float
-    in_open_regime: bool
+
+    @property
+    def gap(self) -> float:
+        return max(0.0, self.interval.lower - self.candidate, self.candidate - self.interval.upper)
+
+    @property
+    def inside(self) -> bool:
+        return self.gap <= 1e-9
+
+    @property
+    def in_open_regime(self) -> bool:
+        return 1 < self.k < min(self.dims)
 
 
 def conjecture_probe(v: PureState, k: int) -> ConjectureProbe:
@@ -531,17 +540,7 @@ def conjecture_probe(v: PureState, k: int) -> ConjectureProbe:
     candidate = 2.0 * gamma_pure(v, k) - 1.0
     proj = np.outer(v.amplitudes, v.amplitudes.conj())
     interval = robustness_bounds(bipartite(proj, m, n, symmetrize=True), k)
-    gap = max(0.0, interval.lower - candidate, candidate - interval.upper)
-    inside = gap <= 1e-9
-    return ConjectureProbe(
-        k=k,
-        dims=(m, n),
-        candidate=candidate,
-        interval=interval,
-        inside=inside,
-        gap=gap,
-        in_open_regime=1 < k < min(m, n),
-    )
+    return ConjectureProbe(k, (m, n), candidate, interval)
 
 
 @dataclass(frozen=True)
@@ -549,15 +548,18 @@ class SnCertification:
     """Outcome of a Schmidt-number query on a density matrix.
 
     verdict is one of at_most_k, exceeds_k, undecided.  The evidence is the
-    gamma bracket plus, depending on the verdict, the witness whose bound
-    is the gamma lower endpoint above 1 (always present on exceeds_k) or
-    the decomposition certifying gamma <= 1."""
+    gamma bracket plus the decomposition certifying gamma <= 1 on
+    at_most_k.  witness is derived: on exceeds_k the gamma certificate,
+    whose bound is the lower endpoint above 1, else None."""
 
     verdict: str
     k: int
     gamma: NormInterval
-    witness: Witness | None
     decomposition: Decomposition | None
+
+    @property
+    def witness(self) -> Witness | None:
+        return self.gamma.certificate if self.verdict == "exceeds_k" else None
 
 
 def _require_density(rho: BipartiteOperator, what: str) -> None:
@@ -592,15 +594,17 @@ def sn_certify(
     constructive Schmidt-chunk split, then the LP oracle (seeded by seed)
     when a budget is given.  The chunk split is skipped when the gamma
     upper endpoint exceeds 1 + tol: that endpoint is at most the chunk
-    weight, so the split could not pass.  Anything else is undecided.
+    weight, so the split could not pass.  Anything else is undecided.  tol
+    must be finite and nonnegative (ParameterError otherwise).
     """
+    _check_tol(tol)
     _require_density(rho, "sn_certify")
     m, n = rho.dims
     _check_k(m, n, k)
 
     gb = gamma_bounds(rho, k)
     if gb.lower > 1.0 + tol:
-        return SnCertification("exceeds_k", k, gb, gb.certificate, None)
+        return SnCertification("exceeds_k", k, gb, None)
 
     def certifies(dec: Decomposition) -> bool:
         if dec.dims != rho.dims or dec.k > k:
@@ -610,19 +614,19 @@ def sn_certify(
         return certified_upper_from_decomposition(rho, dec) <= 1.0 + tol
 
     if candidate is not None and certifies(candidate):
-        return SnCertification("at_most_k", k, gb, None, candidate)
+        return SnCertification("at_most_k", k, gb, candidate)
 
     if gb.upper <= 1.0 + tol:
         chunk = decomposition_from_mixture(rho, k)
         if certifies(chunk):
-            return SnCertification("at_most_k", k, gb, None, chunk)
+            return SnCertification("at_most_k", k, gb, chunk)
 
     if budget is not None:
         upper, dec = decomposition_oracle(rho, k, budget=budget, seed=seed)
         if upper <= 1.0 + tol:
-            return SnCertification("at_most_k", k, gb, None, dec)
+            return SnCertification("at_most_k", k, gb, dec)
 
-    return SnCertification("undecided", k, gb, None, None)
+    return SnCertification("undecided", k, gb, None)
 
 
 def _generators_admissible(dec: Decomposition, tol: float) -> bool:

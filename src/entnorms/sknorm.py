@@ -48,45 +48,44 @@ from .schmidt import PureState, _truncate_raw, pure_state
 
 EXACTNESS_RTOL = 1e-9
 SEESAW_TOL = 1e-10
-
-
-def _is_exact(lower: float, upper: float) -> bool:
-    return upper - lower <= EXACTNESS_RTOL * max(abs(lower), abs(upper))
+BLOCK_POSITIVITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class NormInterval:
     """Certified bracket [lower, upper] for a norm value.
 
-    The method tags record which bound produced each endpoint.  exact is set
-    when the two endpoints agree to within 1e-9 relative to the value (in
-    particular on closed-form paths, where both are the same number).
-    certificate is the lower-side evidence, if any: the SeeSawResult pair
-    for S(k) brackets, the best Witness for gamma brackets.
+    The method tags record which bound produced each endpoint.  exact is
+    derived: the width is at most EXACTNESS_RTOL times the larger endpoint
+    magnitude (in particular on closed-form paths, where both endpoints are
+    the same number).  certificate, keyword-only, is the lower-side
+    evidence, if any: the SeeSawResult pair for S(k) brackets, the best
+    Witness for gamma brackets.
     """
 
     lower: float
     upper: float
     lower_method: str
     upper_method: str
-    exact: bool
-    certificate: object = field(default=None, compare=False, repr=False)
+    certificate: object = field(default=None, compare=False, repr=False, kw_only=True)
 
     def __post_init__(self):
         if not (np.isfinite(self.lower) and np.isfinite(self.upper)):
             raise ParameterError("interval endpoints must be finite")
         if self.lower > self.upper + 1e-12 * max(abs(self.lower), abs(self.upper)):
             raise ParameterError(f"inconsistent interval [{self.lower}, {self.upper}]")
-        if self.exact and not _is_exact(self.lower, self.upper):
-            raise ParameterError("exact flag requires endpoints within 1e-9 relative")
 
     @property
     def width(self) -> float:
         return self.upper - self.lower
 
+    @property
+    def exact(self) -> bool:
+        return self.width <= EXACTNESS_RTOL * max(abs(self.lower), abs(self.upper))
+
 
 def _exact_interval(value: float, method: str, certificate=None) -> NormInterval:
-    return NormInterval(value, value, method, method, True, certificate)
+    return NormInterval(value, value, method, method, certificate=certificate)
 
 
 def _finish_interval(
@@ -98,7 +97,7 @@ def _finish_interval(
         if lower - upper > 1e-9 * max(abs(lower), abs(upper)):
             raise ParameterError(f"bound inconsistency: lower {lower} > upper {upper}")
         lower = upper
-    return NormInterval(lower, upper, lo_tag, hi_tag, _is_exact(lower, upper), certificate)
+    return NormInterval(lower, upper, lo_tag, hi_tag, certificate=certificate)
 
 
 @dataclass(frozen=True)
@@ -125,6 +124,12 @@ def _check_budgets(restarts: int, max_iter: int, seed: int) -> None:
         raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
+
+
+def _check_tol(tol: float) -> None:
+    """A decision tolerance must be finite and nonnegative; 0 is legal."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ParameterError(f"tol must be finite and >= 0, got {tol}")
 
 
 def _basis_product_vec(m: int, n: int) -> np.ndarray:
@@ -393,7 +398,7 @@ def _sk_bounds_full(
 
     upper = float(s[0])
     if skip_seesaw_at is not None and upper <= skip_seesaw_at:
-        return NormInterval(0.0, upper, "trivial", "operator_norm", False)
+        return NormInterval(0.0, upper, "trivial", "operator_norm")
 
     search = _rayleigh_ascent if psd else seesaw_lower
     ss = search(x, k, restarts=restarts, max_iter=max_iter, seed=seed)
@@ -478,21 +483,25 @@ def prod_radius_bounds(
 class BlockPositivityResult:
     """Three-way verdict on k-block positivity of a hermitian operator.
 
-    c is the largest eigenvalue, interval the bracket computed for
-    |cI - y|_S(k), and witness (present for certified_negative) a
-    Schmidt-rank-<=k pair whose pairing with cI - y exceeds c.
+    c is the largest eigenvalue and interval the bracket computed for
+    |cI - y|_S(k).  witness is derived: on certified_negative it is the
+    interval's certificate, a Schmidt-rank-<=k pair whose pairing with
+    cI - y exceeds c; on the other verdicts it is None.
     """
 
     verdict: str
     c: float
     interval: NormInterval
-    witness: SeeSawResult | None
+
+    @property
+    def witness(self) -> SeeSawResult | None:
+        return self.interval.certificate if self.verdict == "certified_negative" else None
 
 
 def block_positivity_check(
     y: BipartiteOperator,
     k: int,
-    tol: float = 1e-9,
+    tol: float = BLOCK_POSITIVITY_TOL,
     restarts: int = 32,
     max_iter: int = 500,
     seed: int = 0,
@@ -504,20 +513,22 @@ def block_positivity_check(
     bound, certified_negative when c falls below the lower bound, else
     undecided.  Comparisons use a band of tol times max(|lambda_max|,
     lambda_max - lambda_min): exact-boundary cases decide deterministically
-    and no scaling of y moves a verdict.  The lower bound, from the
+    and no scaling of y moves a verdict.  tol must be finite and
+    nonnegative (ParameterError otherwise).  The lower bound, from the
     Rayleigh ascent, is only computed when the cheap upper bound does not
     already settle it; restarts and max_iter are its budget.
     """
+    _check_tol(tol)
     if not y.hermitian:
         raise PreconditionError("block_positivity_check requires a hermitian operator")
     lam = y.eigh[0]
     band = tol * max(abs(float(lam[0])), float(lam[0] - lam[-1]))
     c, interval = _shifted_sk(y, 1.0, k, restarts, max_iter, seed, band)
     if c >= interval.upper - band:
-        return BlockPositivityResult("certified_positive", c, interval, None)
+        return BlockPositivityResult("certified_positive", c, interval)
     if c < interval.lower - band:
-        return BlockPositivityResult("certified_negative", c, interval, interval.certificate)
-    return BlockPositivityResult("undecided", c, interval, None)
+        return BlockPositivityResult("certified_negative", c, interval)
+    return BlockPositivityResult("undecided", c, interval)
 
 
 def prod_radius_bisect(

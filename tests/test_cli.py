@@ -125,6 +125,20 @@ def test_detect_weak_filter_conflict(tmp_path, capsys):
     assert "drop --filter" in err
 
 
+def test_bad_decision_tolerances_exit_one(tmp_path, capsys):
+    iso = str(tmp_path / "iso.json")
+    save_operator(iso, generate(EnsembleSpec("isotropic", 3, 3, p=0.1)))
+    swap = str(tmp_path / "swap.json")
+    save_operator(swap, swap_operator(2))
+    for argv in (["detect", "--k", "1", "--tol", "-0.5", iso],
+                 ["detect", "--k", "1", "--weak", "--tol", "inf", iso],
+                 ["blockpos", "--k", "1", "--tol", "nan", swap]):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "", argv
+        assert "tol must be finite and >= 0" in captured.err
+
+
 def test_blockpos_swap_boundary(tmp_path, capsys):
     path = str(tmp_path / "swap.json")
     save_operator(path, swap_operator(2))

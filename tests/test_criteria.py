@@ -278,6 +278,26 @@ def test_unconverged_filter_still_supplies_the_detection_value():
     assert rep.filtered and not rep.detected
 
 
-def test_report_consistency_guard():
-    with pytest.raises(ParameterError):
-        DetectionReport("gen_realign", 1, 2.0, 1.0, False, False, 1e-9)
+def test_detected_is_derived_from_value_threshold_and_tol():
+    assert DetectionReport("gen_realign", 1, 2.0, 1.0, False, 1e-9).detected
+    assert not DetectionReport("gen_realign", 1, 1.0 + 1e-9, 1.0, False, 1e-9).detected
+    assert DetectionReport("weak_realign", 2, 2.5, 2.0, False, 0.0).detected
+
+
+def test_decision_tolerances_must_be_finite_and_nonnegative():
+    """A negative tol would turn the separable 3x3 isotropic state at
+    p = 0.1 (realignment value 0.6) into a detection, and |00> into Schmidt
+    rank > 1; every criterion rejects such a tol first."""
+    sep = generate(EnsembleSpec("isotropic", 3, 3, p=0.1))
+    assert abs(realignment_value(sep, 1) - 0.6) < 1e-12
+    product = pure_state(np.eye(1, 4, dtype=complex)[0], 2, 2)
+    for tol in (-0.5, -1e-300, np.inf, -np.inf, np.nan):
+        for criterion in (detect_schmidt_number, weak_realignment, cross_norm_test):
+            with pytest.raises(ParameterError):
+                criterion(sep, 1, tol=tol)
+        with pytest.raises(ParameterError):
+            pure_state_sr_test(product, 1, tol=tol)
+    # tol = 0 stays legal.
+    assert not detect_schmidt_number(sep, 1, tol=0.0).detected
+    assert not cross_norm_test(sep, 1, tol=0.0).detected
+    assert pure_state_sr_test(product, 1, tol=0.0) == "sr_at_most_k"

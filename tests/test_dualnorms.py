@@ -10,6 +10,7 @@ import entnorms.sknorm as sknorm
 from entnorms.criteria import realignment_value
 from entnorms.dualnorms import (
     DEFAULT_CERTIFY_TOL,
+    ConjectureProbe,
     Decomposition,
     Witness,
     best_gamma_witness,
@@ -515,10 +516,35 @@ def test_sn_certify_validation():
         sn_certify(sep, 1, candidate=dec)
 
 
-def test_entanglement_rescale_keeps_exact_only_for_equal_endpoints():
-    r = NormInterval(1.0, 1.0 + 1e-10, "lo", "hi", True)
+def test_entanglement_rescale_judges_exact_on_its_own_endpoints():
+    r = NormInterval(1.0, 1.0 + 1e-10, "lo", "hi")
+    assert r.exact
+    # E = [0, 5e-11]: next to 0 the width is all of the value.
     assert not robustness_to_entanglement(r).exact
-    assert robustness_to_entanglement(NormInterval(3.0, 3.0, "lo", "hi", True)).exact
+    e = robustness_to_entanglement(NormInterval(2.0, 2.0 + 5e-10, "lo", "hi"))
+    assert e.lower == 0.5 and e.upper - 0.5 < 2.6e-10 and e.exact
+    assert robustness_to_entanglement(NormInterval(3.0, 3.0, "lo", "hi")).exact
+
+
+def test_sn_certify_rejects_a_bad_tolerance():
+    """tol = -0.5 would call the separable isotropic state at p = 0.1
+    entangled, and tol = inf the entangled one at p = 0.9 separable."""
+    sep = generate(EnsembleSpec("isotropic", 3, 3, p=0.1))
+    ent = generate(EnsembleSpec("isotropic", 3, 3, p=0.9))
+    for rho, tol in ((sep, -0.5), (ent, np.inf), (sep, np.nan), (ent, -np.inf)):
+        with pytest.raises(ParameterError):
+            sn_certify(rho, 1, tol=tol)
+    assert sn_certify(sep, 1, tol=0.0).verdict != "exceeds_k"
+    assert sn_certify(ent, 1, tol=0.0).verdict == "exceeds_k"
+
+
+def test_probe_fields_follow_the_candidate_and_the_bracket():
+    iv = NormInterval(1.0, 2.0, "lo", "hi")
+    probe = ConjectureProbe(2, (3, 3), 2.5, iv)
+    assert probe.gap == 0.5 and not probe.inside and probe.in_open_regime
+    probe = ConjectureProbe(1, (3, 3), 2.0 + 1e-10, iv)
+    assert probe.gap <= 1e-9 and probe.inside and not probe.in_open_regime
+    assert ConjectureProbe(3, (3, 4), 1.5, iv).gap == 0.0
 
 
 def test_sn_certify_reuses_the_gamma_witness(monkeypatch):

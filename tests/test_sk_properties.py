@@ -6,7 +6,7 @@ local unitaries on either side, |(A (x) B) x (C (x) D)|_S(k) = |x|_S(k),
 and homogeneous, so the bracket of c (A (x) B) x (C (x) D) must overlap
 c times the bracket of x at every scale c = 2^s, |s| <= 900.  Only the
 overlap is asserted: below unit scale the see-saw stops earlier (ROADMAP
-item 6), so its endpoints need not agree.
+item 10), so its endpoints need not agree.
 """
 
 import numpy as np
