@@ -8,15 +8,18 @@ violations are surfaced as warnings in the report, never silently fixed
 
 Reports are JSON with a fixed key set: command, inputs (sha256 of the input
 file or of the parameter string), k, result, tolerances, seed,
-wall_time_ms, warnings.  A command takes only the flags it reads, or for
-norm may read; any other is a usage error.  Without --seed the report's
-seed is null.  With the same argv and seed the report is byte-identical
-apart from wall_time_ms.  The text format is a human rendering of the
-same data and is not a stable interface.
+wall_time_ms, warnings.  run() builds every report: it loads the input,
+and each command's handler returns only its result and the tolerances it
+read.  A command takes only the flags it reads, or for norm may read; any
+other is a usage error.  Without --seed the report's seed is null.  With
+the same argv and seed the report is byte-identical apart from
+wall_time_ms.  The text format is a human rendering of the same data and
+is not a stable interface.
 
-Exit codes: 0 success; 1 input or parameter errors (including usage); 2
-numerical failures (svd/eig non-convergence, LP failure, overflow); 3 an
-undecided verdict when --require-decision was set.
+Exit codes: 0 success; 1 input or parameter errors (including usage and a
+report that cannot be written); 2 numerical failures (svd/eig
+non-convergence, LP failure, overflow); 3 an undecided verdict when
+--require-decision was set.
 
 Only oracle solves a linear program, so only oracle loads scipy; every
 other command starts with numpy alone.
@@ -183,54 +186,35 @@ def _seesaw_kwargs(args) -> dict:
     }
 
 
-def _cmd_schmidt(args):
-    value, warnings, digest = _load(args.file)
-    v = _as_pure(value, "schmidt")
-    tol = args.tol if args.tol is not None else DEFAULT_RANK_TOL
-    sd = schmidt_decompose(v, tol=tol)
-    result = {
-        "rank": sd.rank,
-        "coefficients": [float(c) for c in sd.coeffs],
-    }
-    return result, None, {"rank_tol": tol}, warnings, digest, 0
+def _cmd_schmidt(args, value):
+    sd = schmidt_decompose(_as_pure(value, "schmidt"), tol=args.tol)
+    return {"rank": sd.rank, "coefficients": [float(c) for c in sd.coeffs]}, {"rank_tol": args.tol}
 
 
-def _cmd_norm(args):
-    value, warnings, digest = _load(args.file)
-    kw = _seesaw_kwargs(args)
+def _cmd_norm(args, value):
     which = args.which
-
     if which == "sk-dual-vec":
         v = _as_pure(value, "norm --which sk-dual-vec")
-        result = {"value": s_k_dual(v, args.k), "method": "closed_form"}
-    elif which in ("k2", "k2dual"):
+        return {"value": s_k_dual(v, args.k), "method": "closed_form"}, {}
+    if which in ("k2", "k2dual"):
         mat = value.matrix() if isinstance(value, PureState) else value.mat
         fn = kyfan.k2_norm if which == "k2" else kyfan.k2_dual
-        result = {"value": float(fn(mat, args.k)), "method": "closed_form"}
-    elif which == "sk":
-        x = _as_operator(value)
-        result = _interval_dict(sknorm.sk_bounds(x, args.k, **kw))
-    elif which == "gamma":
-        x = _as_operator(value)
-        result = _interval_dict(dualnorms.gamma_bounds(x, args.k))
-    elif which == "radius":
-        x = _as_operator(value)
-        result = _interval_dict(sknorm.prod_radius_bounds(x, args.k, **kw))
-    else:
-        raise ParameterError(f"unknown norm selector {which!r}")
-    return result, args.k, {}, warnings, digest, 0
+        return {"value": float(fn(mat, args.k)), "method": "closed_form"}, {}
+    x = _as_operator(value)
+    if which == "gamma":
+        return _interval_dict(dualnorms.gamma_bounds(x, args.k)), {}
+    bracket = sknorm.sk_bounds if which == "sk" else sknorm.prod_radius_bounds
+    return _interval_dict(bracket(x, args.k, **_seesaw_kwargs(args))), {}
 
 
-def _cmd_detect(args):
-    value, warnings, digest = _load(args.file)
+def _cmd_detect(args, value):
     rho = _as_operator(value)
-    tol = args.tol if args.tol is not None else criteria.DETECTION_TOL
     if args.weak:
         if args.filter:
             raise ParameterError("--weak has no filtered variant; drop --filter")
-        report = criteria.weak_realignment(rho, args.k, tol=tol)
+        report = criteria.weak_realignment(rho, args.k, tol=args.tol)
     else:
-        report = criteria.detect_schmidt_number(rho, args.k, use_filter=args.filter, tol=tol)
+        report = criteria.detect_schmidt_number(rho, args.k, use_filter=args.filter, tol=args.tol)
     result = {
         "criterion": report.criterion,
         "value": report.value,
@@ -238,53 +222,46 @@ def _cmd_detect(args):
         "detected": report.detected,
         "filtered": report.filtered,
     }
-    return result, args.k, {"tol": tol}, warnings, digest, 0
+    return result, {"tol": args.tol}
 
 
-def _cmd_blockpos(args):
-    value, warnings, digest = _load(args.file)
+def _cmd_blockpos(args, value):
     y = _as_operator(value)
-    tol = args.tol if args.tol is not None else sknorm.BLOCK_POSITIVITY_TOL
-    res = sknorm.block_positivity_check(y, args.k, tol=tol, **_seesaw_kwargs(args))
+    res = sknorm.block_positivity_check(y, args.k, tol=args.tol, **_seesaw_kwargs(args))
     result = {
         "verdict": res.verdict,
         "c": res.c,
         "interval": _interval_dict(res.interval),
     }
-    forced = 3 if (args.require_decision and res.verdict == "undecided") else 0
-    return result, args.k, {"tol": tol}, warnings, digest, forced
+    return result, {"tol": args.tol}
 
 
-def _cmd_witness(args):
-    value, warnings, digest = _load(args.file)
-    x = _as_operator(value)
-    wit = dualnorms.best_gamma_witness(x, args.k)
+def _cmd_witness(args, value):
+    wit = dualnorms.best_gamma_witness(_as_operator(value), args.k)
     result = {
         "method": wit.method,
         "pairing": wit.pairing,
         "sk_upper": wit.sk_upper,
         "bound": wit.bound,
     }
-    return result, args.k, {}, warnings, digest, 0
+    return result, {}
 
 
-def _cmd_oracle(args):
-    value, warnings, digest = _load(args.file)
-    x = _as_operator(value)
-    upper, dec = dualnorms.decomposition_oracle(x, args.k, budget=args.budget, seed=args.seed)
+def _cmd_oracle(args, value):
+    upper, dec = dualnorms.decomposition_oracle(
+        _as_operator(value), args.k, budget=args.budget, seed=args.seed
+    )
     result = {
         "upper": upper,
         "terms": len(dec),
         "weight": dec.weight,
         "residual": dec.residual,
     }
-    return result, args.k, {"budget": args.budget}, warnings, digest, 0
+    return result, {"budget": args.budget}
 
 
-def _cmd_probe(args):
-    value, warnings, digest = _load(args.file)
-    v = _as_pure(value, "probe-conjecture")
-    probe = dualnorms.conjecture_probe(v, args.k)
+def _cmd_probe(args, value):
+    probe = dualnorms.conjecture_probe(_as_pure(value, "probe-conjecture"), args.k)
     result = {
         "candidate": probe.candidate,
         "interval": _interval_dict(probe.interval),
@@ -292,10 +269,10 @@ def _cmd_probe(args):
         "gap": probe.gap,
         "in_open_regime": probe.in_open_regime,
     }
-    return result, args.k, {}, warnings, digest, 0
+    return result, {}
 
 
-def _cmd_gen(args):
+def _cmd_gen(args, value):
     if not args.out:
         raise ParameterError("gen requires --out FILE for the generated state")
     spec = states.EnsembleSpec(
@@ -308,25 +285,23 @@ def _cmd_gen(args):
         terms=args.terms,
         seed=args.seed,
     )
-    value = states.generate(spec)
-    save_operator(args.out, value, meta={"kind": args.kind, "seed": str(args.seed)})
-    digest = _param_digest(
-        ["gen", args.kind, args.m, args.n, args.k, args.p, args.terms, args.rank, args.seed]
-    )
+    state = states.generate(spec)
+    save_operator(args.out, state, meta={"kind": args.kind, "seed": str(args.seed)})
     result = {
         "kind": args.kind,
         "dims": [args.m, args.n],
-        "file_kind": "state_vector" if isinstance(value, PureState) else "density",
+        "file_kind": "state_vector" if isinstance(state, PureState) else "density",
         "path": args.out,
     }
-    return result, args.k, {}, [], digest, 0
+    return result, {}
 
 
-def _cmd_invariance(args):
+def _cmd_invariance(args, value):
     m, n, k = args.m, args.n, args.k
+    if args.trials < 1:
+        raise ParameterError(f"--trials must be at least 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     deviations: list[float] = []
-    checks = 0
     swap = swap_operator(m).mat if m == n else None
 
     def coeffs(vec: np.ndarray) -> np.ndarray:
@@ -349,7 +324,6 @@ def _cmd_invariance(args):
             deviations.append(float(np.max(np.abs(coeffs(tvec) - base_coeffs))))
             deviations.append(abs(sknorm.sk_pure(tv, k) - base_sk))
             deviations.append(abs(dualnorms.gamma_pure(tv, k) - base_gamma))
-            checks += 3
 
         prod = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in (m, n, m, n)]
         prod = [p / np.linalg.norm(p) for p in prod]
@@ -358,19 +332,23 @@ def _cmd_invariance(args):
         before = sknorm.sk_bounds(elem, k)
         after = sknorm.sk_bounds(partial_transpose(elem), k)
         deviations.append(abs(before.upper - after.upper))
-        checks += 1
 
-    max_dev = max(deviations) if deviations else 0.0
+    max_dev = max(deviations)
     result = {
         "trials": args.trials,
         "dims": [m, n],
-        "checks": checks,
+        "checks": len(deviations),
         "max_deviation": max_dev,
         "ok": max_dev <= 1e-9,
     }
-    digest = _param_digest(["invariance", m, n, k, args.trials, args.seed])
-    return result, k, {"deviation_tol": 1e-9}, [], digest, 0
+    return result, {"deviation_tol": 1e-9}
 
+
+# The commands without an input file digest their parameters instead.
+_PARAMETERS = {
+    "gen": ("kind", "m", "n", "k", "p", "terms", "rank", "seed"),
+    "invariance": ("m", "n", "k", "trials", "seed"),
+}
 
 _HANDLERS = {
     "schmidt": _cmd_schmidt,
@@ -394,8 +372,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the report here instead of stdout (gen: the state file)")
     report.add_argument("--inject-svd-failure", action="store_true",
                         help="testing hook: force the next svd to fail")
-    tol = _Parser(add_help=False)
-    tol.add_argument("--tol", type=float, default=None, help="decision tolerance (default per command)")
+
+    def tol(default: float) -> argparse.ArgumentParser:
+        # A parent per command: subparsers share a parent's actions, and
+        # with them its default.
+        parent = _Parser(add_help=False)
+        parent.add_argument("--tol", type=float, default=default,
+                            help="decision tolerance (default per command)")
+        return parent
+
     seed = _Parser(add_help=False)
     seed.add_argument("--seed", type=int, default=0, help="seed for all randomized steps")
     seesaw = _Parser(add_help=False)
@@ -406,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Entanglement norms: bounds, certificates, detection")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("schmidt", parents=[report, tol], help="Schmidt decomposition of a state vector")
+    p = sub.add_parser("schmidt", parents=[report, tol(DEFAULT_RANK_TOL)],
+                       help="Schmidt decomposition of a state vector")
     p.add_argument("file")
 
     p = sub.add_parser("norm", parents=[report, seed, seesaw], help="norm values and certified brackets")
@@ -415,13 +401,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("file")
 
-    p = sub.add_parser("detect", parents=[report, tol], help="Schmidt-number detection criteria")
+    p = sub.add_parser("detect", parents=[report, tol(criteria.DETECTION_TOL)],
+                       help="Schmidt-number detection criteria")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--filter", action="store_true", help="try a local filter first")
     p.add_argument("--weak", action="store_true", help="trace-norm variant instead")
     p.add_argument("file")
 
-    p = sub.add_parser("blockpos", parents=[report, tol, seed, seesaw], help="k-block positivity check")
+    p = sub.add_parser("blockpos", parents=[report, tol(sknorm.BLOCK_POSITIVITY_TOL), seed, seesaw],
+                       help="k-block positivity check")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--require-decision", action="store_true",
                    help="exit 3 when the verdict is undecided")
@@ -496,7 +484,30 @@ def run(argv=None) -> int:
         inject_svd_failure(True)
     start = time.perf_counter()
     try:
-        result, k, tolerances, warnings, digest, forced = _HANDLERS[args.command](args)
+        if args.command in _PARAMETERS:
+            parts = [args.command] + [getattr(args, a) for a in _PARAMETERS[args.command]]
+            value, warnings, digest = None, [], _param_digest(parts)
+        else:
+            value, warnings, digest = _load(args.file)
+        result, tolerances = _HANDLERS[args.command](args, value)
+        report = {
+            "command": args.command,
+            "inputs": digest,
+            "k": getattr(args, "k", None),
+            "result": result,
+            "tolerances": tolerances,
+            "seed": getattr(args, "seed", None),
+            "wall_time_ms": round((time.perf_counter() - start) * 1000.0, 3),
+            "warnings": warnings,
+        }
+        rendered = (
+            json.dumps(report, indent=2) + "\n" if args.format == "json" else _render_text(report)
+        )
+        if args.command != "gen" and args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        else:
+            sys.stdout.write(rendered)
     except (ValueError, OSError) as exc:
         print(f"entnorms: error: {exc}", file=sys.stderr)
         return 1
@@ -506,28 +517,7 @@ def run(argv=None) -> int:
     finally:
         if args.inject_svd_failure:
             inject_svd_failure(False)
-
-    report = {
-        "command": args.command,
-        "inputs": digest,
-        "k": k,
-        "result": result,
-        "tolerances": tolerances,
-        "seed": getattr(args, "seed", None),
-        "wall_time_ms": round((time.perf_counter() - start) * 1000.0, 3),
-        "warnings": warnings,
-    }
-    rendered = (
-        json.dumps(report, indent=2) + "\n"
-        if args.format == "json"
-        else _render_text(report)
-    )
-    if args.command != "gen" and args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
-    else:
-        sys.stdout.write(rendered)
-    return forced
+    return 3 if getattr(args, "require_decision", False) and result["verdict"] == "undecided" else 0
 
 
 def main() -> None:

@@ -18,11 +18,15 @@ REPORT_KEYS = ["command", "inputs", "k", "result", "tolerances", "seed",
                "wall_time_ms", "warnings"]
 
 
+def _reject_constant(name):
+    raise ValueError(f"report holds {name}, which RFC 8259 JSON does not allow")
+
+
 def run_json(argv, capsys):
     code = run(argv)
     captured = capsys.readouterr()
     assert code == 0, captured.err
-    report = json.loads(captured.out)
+    report = json.loads(captured.out, parse_constant=_reject_constant)
     assert list(report.keys()) == REPORT_KEYS
     return report
 
@@ -194,6 +198,33 @@ def test_invariance_command(capsys):
     assert res["ok"]
     assert res["checks"] == 50
     assert res["max_deviation"] <= 1e-9
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_invariance_needs_a_trial(capsys, trials):
+    assert run(["invariance", "--k", "1", "--trials", trials]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"entnorms: error: --trials must be at least 1, got {trials}\n"
+
+
+def test_oracle_report_at_tiny_scale_is_strict_json(tmp_path, capsys):
+    rho = generate(EnsembleSpec("ginibre_density", 2, 2, seed=0))
+    path = str(tmp_path / "tiny.json")
+    save_operator(path, bipartite(rho.mat * 1e-300, 2, 2))
+    res = run_json(["oracle", "--k", "1", "--budget", "32", path], capsys)["result"]
+    assert 0.0 <= res["residual"] <= 1e-312
+    assert res["upper"] > 0.0
+
+
+def test_unwritable_report_exits_one(tmp_path, capsys):
+    path = bell_file(tmp_path, capsys)
+    dest = str(tmp_path / "no" / "such" / "dir" / "r.json")
+    assert run(["schmidt", "--out", dest, path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("entnorms: error: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def test_reports_are_reproducible(tmp_path, capsys):

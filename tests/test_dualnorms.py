@@ -683,6 +683,21 @@ def test_oracle_solves_at_unit_scale(monkeypatch, dims):
         assert abs(upper / scale - base) <= 1e-9 * base
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e300])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+def test_oracle_residual_scales_to_the_extremes(dims, scale):
+    # The residual is measured at unit scale through an exact power of two;
+    # dividing by the subnormal peak of a 1e-300 density overflowed to inf.
+    m, n = dims
+    rho = generate(EnsembleSpec("ginibre_density", m, n, seed=3))
+    budget = 2 * (m * n) ** 2
+    base, base_dec = decomposition_oracle(rho, 1, budget=budget)
+    upper, dec = decomposition_oracle(bipartite(scale * rho.mat, m, n), 1, budget=budget)
+    assert np.isfinite(dec.residual) and dec.residual <= 1e-12 * scale
+    assert base_dec.residual <= 1e-12
+    assert abs(upper / scale - base) <= 1e-9 * base
+
+
 @pytest.mark.parametrize("ratio, closed", [(1e-13, False), (1e-15, True)])
 def test_rank_one_closed_forms_share_one_cutoff(ratio, closed):
     # One cutoff on s_2 / s_1 decides rank one for both brackets.

@@ -13,7 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entnorms import EnsembleSpec, generate, sn_bounded_ensemble
-from entnorms.dualnorms import Decomposition, gamma_bounds, robustness_bounds, sn_certify
+from entnorms.dualnorms import (
+    DEFAULT_CERTIFY_TOL,
+    Decomposition,
+    certified_upper_from_decomposition,
+    gamma_bounds,
+    robustness_bounds,
+    sn_certify,
+)
 from entnorms.errors import DegenerateInputError, ParameterError
 from entnorms.kyfan import (
     BreakIndexResult,
@@ -142,8 +149,24 @@ def test_inadmissible_candidate_generators_are_rejected(flaw, row, sides):
     if sides == "both":
         lefts[row] = bad
     candidate = Decomposition(dec.coefficients, lefts, rights, 3, 3, 1, dec.residual)
-    with pytest.raises(ParameterError, match="inadmissible"):
-        sn_certify(rho, 1, candidate=candidate)
+    # Each term is priced at its own gamma_1, so the flawed rows cost more
+    # than their coefficients and the candidate does not decide the verdict.
+    assert certified_upper_from_decomposition(rho, candidate) > 1.0 + DEFAULT_CERTIFY_TOL
+    assert sn_certify(rho, 1, candidate=candidate).decomposition is not candidate
+
+
+@pytest.mark.parametrize("vec, gamma", [
+    ([2.0, 0.0, 0.0, 0.0], 1.0),  # |00><00| from a norm-2 generator at c = 1/4
+    ([2.0**-0.5, 0.0, 0.0, 2.0**-0.5], 2.0),  # the Bell projector, SR 2 > k = 1
+], ids=["non_unit", "bell"])
+def test_decompositions_outside_the_type_promise_stay_sound(vec, gamma):
+    v = np.array(vec, dtype=np.complex128)
+    coeff = 1.0 / float(np.vdot(v, v).real)
+    x = bipartite(coeff * np.outer(v, v.conj()), 2, 2)
+    dec = Decomposition([coeff], [v], [v], 2, 2, 1, 0.0)
+    lower = gamma_bounds(x, 1).lower
+    assert lower == pytest.approx(gamma, rel=1e-12)
+    assert certified_upper_from_decomposition(x, dec) >= lower
 
 
 @pytest.mark.parametrize("k", [1, 2])
