@@ -140,7 +140,10 @@ def _load(path: str) -> tuple[PureState | BipartiteOperator, list[str], str]:
     with open(path, "rb") as fh:
         raw = fh.read()
     digest = hashlib.sha256(raw).hexdigest()
-    doc = json.loads(raw.decode("utf-8"))
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except RecursionError as exc:
+        raise ParameterError(f"{path}: JSON nested too deeply to read") from exc
     value, warnings = _parse_operator_doc(doc, path)
     return value, warnings, digest
 
@@ -298,8 +301,9 @@ def _cmd_gen(args, value):
 
 def _cmd_invariance(args, value):
     m, n, k = args.m, args.n, args.k
-    if args.trials < 1:
-        raise ParameterError(f"--trials must be at least 1, got {args.trials}")
+    for flag, count in (("--m", m), ("--n", n), ("--trials", args.trials)):
+        if count < 1:
+            raise ParameterError(f"{flag} must be at least 1, got {count}")
     rng = np.random.default_rng(args.seed)
     deviations: list[float] = []
     swap = swap_operator(m).mat if m == n else None

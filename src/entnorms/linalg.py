@@ -8,9 +8,9 @@ and preserve the Frobenius norm exactly.
 
 A BipartiteOperator is decomposed at most once: its svd, eigh, Schmidt and
 realignment svds are computed on first read and kept as read-only factors.
-svd() also accepts a stack of shape (..., m, n) and decomposes every matrix
-in one call, which the see-saw and the Schmidt truncations use to avoid a
-Python round trip per small matrix.
+svd() also accepts a stack of shape (..., m, n), and _top_eigenpairs() takes
+one of hermitian forms, each in one call: the svd serves the Schmidt
+truncations, the eigh the see-saw's Gram truncation and the Rayleigh ascent.
 """
 
 from __future__ import annotations
@@ -269,9 +269,10 @@ def eig_hermitian(mat) -> tuple[np.ndarray, np.ndarray]:
     return np.real(w[order]), v[:, order]
 
 
-def _top_eigenpairs(forms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _top_eigenpairs(forms: np.ndarray, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Largest eigenvalue and a unit eigenvector of each hermitian matrix in
-    a stack (..., d, d), from one stacked eigh: shapes (...) and (..., d).
+    a stack (..., d, d), from one stacked eigh: shapes (...) and (..., d);
+    with k, the k largest (ascending) and their orthonormal (..., d, k) block.
 
     Only the lower triangles are read, and nothing is validated: the
     callers build the stack as hermitian forms.  The svd failure hook fails
@@ -283,7 +284,7 @@ def _top_eigenpairs(forms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w, v = np.linalg.eigh(forms)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigh did not converge: {exc}") from exc
-    return w[..., -1], v[..., -1]
+    return (w[..., -1], v[..., -1]) if k is None else (w[..., -k:], v[..., -k:])
 
 
 class MatrixNorms(NamedTuple):

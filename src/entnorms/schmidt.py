@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kyfan
 from .errors import DegenerateInputError, DimensionError, ParameterError
-from .linalg import svd
+from .linalg import _top_eigenpairs, svd
 
 NORMALIZATION_ATOL = 1e-10
 DEFAULT_RANK_TOL = 1e-10
@@ -164,6 +164,24 @@ def _truncate_raw(u: np.ndarray, m: int, n: int, k: int) -> tuple[np.ndarray, np
     weights = lead / np.where(live, gains, 1.0)[..., None]
     vecs = ((uu[..., :kk] * weights[..., None, :]) @ vh[..., :kk, :]).reshape(u.shape)
     return np.where(live[..., None], vecs, u), gains
+
+
+def _truncate_gram(u: np.ndarray, m: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """_truncate_raw by one stacked eigh: the top-k eigenvectors F of the
+    smaller Gram matrix M M^dag of each row's matricization M (transposed if
+    m > n) give the truncation F F^dag M, gain ||F^dag M||_F.  Rows are first
+    divided exactly by a power of two just above their largest entry: no Gram
+    entry overflows, and only a zero row, returned as it is, has zero gain."""
+    flat = np.ascontiguousarray(u).view(np.float64)
+    e = np.frexp(np.max(np.abs(flat), axis=-1))[1]
+    mats = np.ldexp(flat, -e[..., None]).view(np.complex128).reshape(*u.shape[:-1], m, n)
+    mats = mats.swapaxes(-1, -2) if m > n else mats
+    frames = _top_eigenpairs(mats @ mats.conj().swapaxes(-1, -2), k)[1]
+    coeffs = frames.conj().swapaxes(-1, -2) @ mats
+    gains = np.sqrt(np.vecdot(coeffs, coeffs).real.sum(axis=-1))
+    vecs = (frames @ coeffs) / np.where(gains > 0.0, gains, 1.0)[..., None, None]
+    vecs = vecs.swapaxes(-1, -2) if m > n else vecs
+    return vecs.reshape(u.shape), np.ldexp(gains, e)
 
 
 def s_k_norm(v: PureState, k: int) -> float:

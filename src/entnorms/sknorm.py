@@ -11,8 +11,8 @@ norm, with closed forms on rank-one inputs and at k = min(dims).  Lower
 bounds come from one search driver, _ascend, with two step rules:
 
 - the bilinear see-saw seesaw_lower, for the S(k) norm of any operator:
-  for fixed w the optimal v is the normalized Schmidt truncation of Xw,
-  and symmetrically, so the objective never decreases;
+  for fixed w the best v is the normalized Schmidt truncation of Xw (a
+  Gram eigh), and symmetrically, so the objective never decreases;
 - the Rayleigh ascent _rayleigh_ascent, for block positivity and the
   radius, whose shifted operators below are PSD: with v = vec(A B^T), each
   step sets A (then B) to the top eigenvector of a small km x km (kn x kn)
@@ -44,7 +44,7 @@ import numpy as np
 from .errors import ParameterError, PreconditionError
 from .kyfan import _check_k
 from .linalg import SINGULAR_ZERO_RTOL, BipartiteOperator, _top_eigenpairs, svd
-from .schmidt import PureState, _truncate_raw, pure_state
+from .schmidt import PureState, _truncate_gram, _truncate_raw, pure_state
 
 EXACTNESS_RTOL = 1e-9
 SEESAW_TOL = 1e-10
@@ -232,7 +232,7 @@ def _seesaw_kernel(mat: np.ndarray, e: int, m: int, n: int, k: int, w: np.ndarra
 
     def step(live: np.ndarray, gains: np.ndarray) -> np.ndarray:
         for op, src, dst, slot in ((mat, w, v, 0), (adjoint, v, w, 1)):
-            new, g = _truncate_raw((op @ src[live, :, None])[..., 0], m, n, k)
+            new, g = _truncate_gram((op @ src[live, :, None])[..., 0], m, n, k)
             moved = g > 0.0
             live = live[moved]
             dst[live] = new[moved]
@@ -252,7 +252,9 @@ def seesaw_lower(
     """Certified lower bound on |x|_S(k) by alternating maximization.
 
     Each restart starts from an independent Schmidt-truncated Gaussian w and
-    alternates v <- trunc_k(Xw), w <- trunc_k(X^dag v), both normalized; each
+    alternates v <- trunc_k(Xw), w <- trunc_k(X^dag v), both normalized, with
+    trunc_k(M) = F F^dag M for F the top-k eigenvectors of the smaller Gram
+    matrix of the matricized M, one stacked eigh per half-step.  Each
     half-step maximizes the objective exactly for the other side fixed, so
     the trace is nondecreasing.  A restart stops once a full step gains at
     most SEESAW_TOL * max(1, objective), once a truncation keeps no

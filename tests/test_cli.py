@@ -208,6 +208,15 @@ def test_invariance_needs_a_trial(capsys, trials):
     assert captured.err == f"entnorms: error: --trials must be at least 1, got {trials}\n"
 
 
+@pytest.mark.parametrize("flag", ["--m", "--n"])
+@pytest.mark.parametrize("dim", ["0", "-2"])
+def test_invariance_needs_positive_dims(capsys, flag, dim):
+    assert run(["invariance", "--k", "1", flag, dim]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"entnorms: error: {flag} must be at least 1, got {dim}\n"
+
+
 def test_oracle_report_at_tiny_scale_is_strict_json(tmp_path, capsys):
     rho = generate(EnsembleSpec("ginibre_density", 2, 2, seed=0))
     path = str(tmp_path / "tiny.json")
@@ -270,6 +279,14 @@ def test_malformed_files_exit_one(tmp_path, capsys):
 
     assert run(["schmidt", str(tmp_path / "nofile.json")]) == 1
     capsys.readouterr()
+
+
+def test_deeply_nested_file_exits_one(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert run(["schmidt", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("entnorms: error:") and "nested too deeply" in err
 
 
 def test_nonfinite_data_exits_one(tmp_path, capsys):

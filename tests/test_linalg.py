@@ -207,6 +207,20 @@ def test_top_eigenpairs_of_a_stack():
         assert np.linalg.norm(form @ vec - val * vec) <= 1e-12 * val
 
 
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_top_eigenpairs_returns_a_top_k_block(k):
+    rng = np.random.default_rng(10)
+    g = random_complex(rng, (5, 4, 4))
+    forms = g @ g.conj().transpose(0, 2, 1)
+    vals, frames = _top_eigenpairs(forms, k)
+    assert vals.shape == (5, k) and frames.shape == (5, 4, k)
+    for form, val, frame in zip(forms, vals, frames):
+        ref = np.linalg.eigvalsh(form)[-k:]
+        assert np.allclose(val, ref, rtol=1e-12, atol=0.0)
+        assert np.linalg.norm(frame.conj().T @ frame - np.eye(k)) <= 1e-14 * k
+        assert np.linalg.norm(form @ frame - frame * val) <= 1e-12 * ref[-1]
+
+
 def test_eig_hermitian_identity_and_swap():
     lam, _ = eig_hermitian(np.eye(3))
     assert np.allclose(lam, [1.0, 1.0, 1.0])

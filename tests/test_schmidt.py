@@ -5,6 +5,7 @@ from entnorms.errors import DegenerateInputError, ParameterError
 from entnorms.kyfan import k2_dual
 from entnorms.linalg import kron
 from entnorms.schmidt import (
+    _truncate_gram,
     pure_state,
     s_k_dual,
     s_k_norm,
@@ -114,6 +115,39 @@ def test_truncate_achieves_the_norm():
             overlap = abs(np.vdot(t.amplitudes, v.amplitudes))
             assert abs(overlap - s_k_norm(v, k)) < 1e-10
             assert schmidt_rank(t) <= k
+
+
+@pytest.mark.parametrize("m, n", [(2, 4), (4, 2), (3, 3)])
+def test_gram_truncation_matches_the_svd(m, n):
+    rng = np.random.default_rng(12)
+    rows = rng.standard_normal((6, m * n)) + 1j * rng.standard_normal((6, m * n))
+    for k in range(1, min(m, n) + 1):
+        vecs, gains = _truncate_gram(rows, m, n, k)
+        assert vecs.shape == rows.shape and gains.shape == (6,)
+        for row, vec, gain in zip(rows, vecs, gains):
+            s = np.linalg.svd(vec.reshape(m, n), compute_uv=False)
+            assert np.count_nonzero(s > 1e-12 * s[0]) <= k
+            assert abs(np.linalg.norm(vec) - 1.0) <= 1e-14
+            ref = np.linalg.norm(np.linalg.svd(row.reshape(m, n), compute_uv=False)[:k])
+            assert abs(gain - ref) <= 1e-12 * ref
+            assert abs(np.vdot(vec, row) - gain) <= 1e-12 * ref
+
+
+def test_gram_truncation_keeps_zero_rows_and_extreme_scales():
+    # Unscaled, the Gram entries of the 2^600 row overflow and those of the
+    # 2^-600 row underflow to zero; a zero row keeps no weight.
+    rng = np.random.default_rng(13)
+    row = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    mixed = np.where(np.arange(9) % 3 == 0, 1.0, 2.0**-600)
+    rows = np.stack([np.zeros(9), row * 2.0**600, row * 2.0**-600, mixed, 1j * mixed[::-1]])
+    for k in (1, 2):
+        vecs, gains = _truncate_gram(rows, 3, 3, k)
+        assert gains[0] == 0.0 and np.array_equal(vecs[0], rows[0])
+        assert np.all(gains[1:] > 0.0)
+        assert np.allclose(np.linalg.norm(vecs[1:], axis=1), 1.0, rtol=0.0, atol=1e-14)
+        unit = np.linalg.norm(np.linalg.svd(row.reshape(3, 3), compute_uv=False)[:k])
+        for gain, scale in ((gains[1], 2.0**600), (gains[2], 2.0**-600)):
+            assert abs(gain / scale - unit) <= 1e-12 * unit
 
 
 def test_s_k_norm_values():

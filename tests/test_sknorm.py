@@ -428,6 +428,21 @@ def test_seesaw_raises_on_svd_failure():
         inject_svd_failure(False)
 
 
+def test_seesaw_step_raises_on_injected_failure():
+    # The starts of a (dims, k, restarts, seed) key are kept from the first
+    # call on, so on a fresh operator only the see-saw's own step can fail.
+    rng = np.random.default_rng(22)
+    g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    seesaw_lower(bipartite(g, 3, 3), 1, restarts=3, seed=5)
+    fresh = bipartite(g.T, 3, 3)
+    inject_svd_failure(True)
+    try:
+        with pytest.raises(NumericalError):
+            seesaw_lower(fresh, 1, restarts=3, seed=5)
+    finally:
+        inject_svd_failure(False)
+
+
 def test_sk_bounds_see_saw_survives_huge_scale():
     # Squared Schmidt coefficients of x * 1e200 overflowed, and the see-saw
     # lower endpoint collapsed to 0.
