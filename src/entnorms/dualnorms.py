@@ -43,7 +43,14 @@ from .errors import InfeasibleError, ParameterError, PreconditionError
 from .kyfan import _check_k
 from .linalg import SINGULAR_ZERO_RTOL, BipartiteOperator, bipartite, realign_inverse, svd
 from .schmidt import DEFAULT_RANK_TOL, PureState
-from .sknorm import NormInterval, _check_tol, _exact_interval, _finish_interval, _sr_unit_vectors
+from .sknorm import (
+    NormInterval,
+    _check_tol,
+    _exact_interval,
+    _finish_interval,
+    _scaled,
+    _sr_unit_vectors,
+)
 
 COEFF_PRUNE_RTOL = 1e-12
 DENSITY_TRACE_ATOL = 1e-9
@@ -293,7 +300,10 @@ def best_gamma_witness(x: BipartiteOperator, k: int) -> Witness:
         a, _ = kyfan._attainer_from_svd(uu[0], sv[0], svh[0], k)
         b, _ = kyfan._attainer_from_svd(uu[1], sv[1], svh[1], k)
         ketbra = np.outer(a.reshape(-1), b.reshape(-1).conj())
-        pairing = float(abs(np.vdot(ketbra, x.mat)))
+        # Paired at unit scale: on subnormal entries every product would
+        # round to the subnormal grid, a relative error near 1e-3.
+        mat, e = _scaled(x)
+        pairing = math.ldexp(float(abs(np.vdot(ketbra, mat))), e)
         return Witness(bipartite(ketbra, m, n), 1.0, pairing, k, "dual_ketbra")
     if k == min(m, n):
         return Witness(bipartite(u @ vh, m, n), 1.0, float(np.sum(s)), k, "sign_unitary")

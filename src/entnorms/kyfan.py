@@ -26,6 +26,7 @@ every k (about 0.5 MiB at 8x8; a one-shot process still pays each once).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,9 +119,8 @@ def _checked_svd(mat, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def k2_norm(mat, k: int) -> float:
-    """l2 norm of the k largest singular values."""
-    s = _checked_svd(_as_complex_matrix(mat), k)[1]
-    return float(np.sqrt(np.sum(s[:k] ** 2)))
+    """l2 norm of the k largest singular values, by hypot: homogeneous at any scale."""
+    return math.hypot(*_checked_svd(_as_complex_matrix(mat), k)[1][:k])
 
 
 def k2_dual(mat, k: int) -> float | np.ndarray:

@@ -9,8 +9,9 @@ and preserve the Frobenius norm exactly.
 A BipartiteOperator is decomposed at most once: its svd, eigh, Schmidt and
 realignment svds are computed on first read and kept as read-only factors.
 svd() also accepts a stack of shape (..., m, n), and _top_eigenpairs() takes
-one of hermitian forms, each in one call: the svd serves the Schmidt
-truncations, the eigh the see-saw's Gram truncation and the Rayleigh ascent.
+one of hermitian forms, each in one call: the svd serves the operators'
+decompositions, schmidt_decompose and the (k,2) norms; the eigh every
+Schmidt truncation (through its Gram matrix) and the Rayleigh ascent.
 """
 
 from __future__ import annotations

@@ -113,8 +113,8 @@ def schmidt_decompose(v: PureState, tol: float = DEFAULT_RANK_TOL) -> SchmidtDec
     """
     if not 0.0 < tol < 1.0:
         raise ParameterError(f"tol must lie in (0, 1), got {tol!r}")
-    if np.linalg.norm(v.amplitudes) <= 1e-12:
-        raise DegenerateInputError("cannot decompose a (numerically) zero vector")
+    if not v.amplitudes.any():
+        raise DegenerateInputError("cannot decompose the zero vector")
     u, s, vh = svd(v.matrix())
     keep = s > tol * s[0]
     r = int(np.count_nonzero(keep))
@@ -138,40 +138,23 @@ def schmidt_truncate(v: PureState, k: int) -> PureState:
     Schmidt rank of v is already <= k the result is v itself up to fp error.
     """
     kyfan._check_k(v.dim_a, v.dim_b, k)
-    if np.linalg.norm(v.amplitudes) <= 1e-12:
-        raise DegenerateInputError("cannot truncate a (numerically) zero vector")
-    vec, gain = _truncate_raw(v.amplitudes, v.dim_a, v.dim_b, k)
+    vec, gain = _truncate_gram(v.amplitudes, v.dim_a, v.dim_b, k)
     if gain <= 0.0:
-        raise DegenerateInputError("leading Schmidt coefficients are all zero")
+        raise DegenerateInputError("cannot truncate the zero vector")
     return pure_state(vec, v.dim_a, v.dim_b, require_normalized=False)
 
 
-def _truncate_raw(u: np.ndarray, m: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k Schmidt truncation of raw vectors, normalized.
-
-    u has shape (..., m*n), one vector per trailing row, and all of them are
-    truncated by a single stacked svd.  Returns (unit vectors, gains) of
-    shapes u.shape and u.shape[:-1], where a gain is the l2 norm of the k
-    leading Schmidt coefficients of its row, i.e. the largest overlap of
-    that row with any Schmidt-rank-<=k unit vector; the returned vector
-    attains it.  A row with zero gain is returned as it is.
-    """
-    uu, s, vh = svd(u.reshape(*u.shape[:-1], m, n))
-    kk = min(k, s.shape[-1])
-    lead = s[..., :kk]
-    gains = np.sqrt(np.vecdot(lead, lead))
-    live = gains > 0.0
-    weights = lead / np.where(live, gains, 1.0)[..., None]
-    vecs = ((uu[..., :kk] * weights[..., None, :]) @ vh[..., :kk, :]).reshape(u.shape)
-    return np.where(live[..., None], vecs, u), gains
-
-
 def _truncate_gram(u: np.ndarray, m: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """_truncate_raw by one stacked eigh: the top-k eigenvectors F of the
-    smaller Gram matrix M M^dag of each row's matricization M (transposed if
-    m > n) give the truncation F F^dag M, gain ||F^dag M||_F.  Rows are first
-    divided exactly by a power of two just above their largest entry: no Gram
-    entry overflows, and only a zero row, returned as it is, has zero gain."""
+    """Unit top-k Schmidt truncations of the rows of u, (..., m*n), by one
+    stacked eigh, and their gains, of shape u.shape[:-1].
+
+    Each row is divided exactly by a power of two just above its largest
+    entry, so no Gram entry overflows.  With F the top-k eigenvectors of the
+    smaller Gram matrix M M^dag of the row's matricization M (transposed if
+    m > n), the truncation is F F^dag M and the gain ||F^dag M||_F: the l2
+    norm of the k leading Schmidt coefficients, the largest overlap of the
+    row with a Schmidt-rank-<=k unit vector.  Only a zero row, returned as
+    it is, has zero gain."""
     flat = np.ascontiguousarray(u).view(np.float64)
     e = np.frexp(np.max(np.abs(flat), axis=-1))[1]
     mats = np.ldexp(flat, -e[..., None]).view(np.complex128).reshape(*u.shape[:-1], m, n)

@@ -43,8 +43,8 @@ import numpy as np
 
 from .errors import ParameterError, PreconditionError
 from .kyfan import _check_k
-from .linalg import SINGULAR_ZERO_RTOL, BipartiteOperator, _top_eigenpairs, svd
-from .schmidt import PureState, _truncate_gram, _truncate_raw, pure_state
+from .linalg import SINGULAR_ZERO_RTOL, BipartiteOperator, _top_eigenpairs
+from .schmidt import PureState, _truncate_gram, pure_state, s_k_norm
 
 EXACTNESS_RTOL = 1e-9
 SEESAW_TOL = 1e-10
@@ -137,12 +137,12 @@ def _basis_product_vec(m: int, n: int) -> np.ndarray:
 
 
 def _sr_unit_vectors(draws: np.ndarray, m: int, n: int, k: int) -> np.ndarray:
-    """Unit Schmidt-rank-<=k truncations of the rows of draws, (..., m*n).
+    """Unit Schmidt-rank-<=k truncations of the rows of draws, (..., m*n), by _truncate_gram.
 
-    A row with no Schmidt weight (a vanishing Gaussian draw, practically
+    A row with no Schmidt weight (a zero Gaussian draw, practically
     unreachable) becomes the product basis vector.
     """
-    vecs, gains = _truncate_raw(draws, m, n, k)
+    vecs, gains = _truncate_gram(draws, m, n, k)
     vecs[gains <= 0.0] = _basis_product_vec(m, n)
     return vecs
 
@@ -157,8 +157,8 @@ def _scaled(x: BipartiteOperator) -> tuple[np.ndarray, int]:
 # 64 keys: the witness_radius and certify_grid sweeps of bench/ use 22.
 @lru_cache(maxsize=64)
 def _start_vectors(m: int, n: int, k: int, restarts: int, seed: int) -> np.ndarray:
-    """The (restarts, m*n) unit Schmidt-rank-<=k starts: restart r
-    truncates a complex Gaussian drawn from default_rng([seed, r]).
+    """The (restarts, m*n) unit Schmidt-rank-<=k starts: restart r is the Gram
+    truncation of a complex Gaussian drawn from default_rng([seed, r]).
 
     The array is read-only and cached per key, since the starts depend on
     nothing else; the cache keeps at most 64 x restarts x m*n x 16 bytes.
@@ -294,7 +294,9 @@ def _rayleigh_kernel(mat: np.ndarray, e: int, m: int, n: int, k: int, starts: np
     x4 = mat.reshape(m, n, m, n)
     flat_a = x4.reshape(m * n * m, n)
     flat_b = np.ascontiguousarray(x4.transpose(1, 0, 3, 2)).reshape(n * m * n, m)
-    frame_b = np.ascontiguousarray(svd(starts.reshape(-1, m, n))[2][:, :k].transpose(0, 2, 1))
+    # Each start M's right frame, conjugated: the top-k eigenvectors of M^T conj(M).
+    mats = starts.reshape(-1, m, n)
+    frame_b = np.ascontiguousarray(_top_eigenpairs(mats.swapaxes(1, 2) @ mats.conj(), k)[1])
     frame_a = np.empty((len(starts), m, k), dtype=np.complex128)
     block_b = np.empty((len(starts), n, k), dtype=np.complex128)
 
@@ -338,19 +340,15 @@ def _rayleigh_ascent(
 def sk_pure(v: PureState, k: int) -> float:
     """S(k) norm of the projector |v><v|: sum of the k leading squared Schmidt
     coefficients of v.  Homogeneous of degree 2 in v."""
-    _check_k(v.dim_a, v.dim_b, k)
-    s = svd(v.matrix())[1]
-    return float(np.sum(s[:k] ** 2))
+    s = s_k_norm(v, k)
+    return s * s
 
 
 def sk_elementary(v: PureState, w: PureState, k: int) -> float:
     """S(k) norm of the rank-one operator |v><w|: s_k_norm(v) * s_k_norm(w)."""
     if v.dims != w.dims:
         raise ParameterError(f"mismatched dims {v.dims} vs {w.dims}")
-    _check_k(v.dim_a, v.dim_b, k)
-    sv = svd(v.matrix())[1]
-    sw = svd(w.matrix())[1]
-    return float(np.linalg.norm(sv[:k]) * np.linalg.norm(sw[:k]))
+    return s_k_norm(v, k) * s_k_norm(w, k)
 
 
 def _sk_bounds_full(
@@ -387,7 +385,7 @@ def _sk_bounds_full(
         # operator norm; the optimal pair is the leading singular pair.
         closed = (u[:, 0], right, float(s[0]), "operator_norm_exact")
     elif s.size == 1 or s[1] <= SINGULAR_ZERO_RTOL * s[0]:
-        vecs, g = _truncate_raw(np.stack([u[:, 0], right]), m, n, k)
+        vecs, g = _truncate_gram(np.stack([u[:, 0], right]), m, n, k)
         closed = (vecs[0], vecs[1], float(s[0] * g[0] * g[1]), "rank_one_exact")
     if closed is not None:
         v_vec, w_vec, value, tag = closed

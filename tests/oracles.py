@@ -231,16 +231,17 @@ def random_sr_vec_ref(rng, m, n, k):
     return vec
 
 
-def seesaw_loop_ref(mat, m, n, k, restarts, max_iter, seed, tol):
+def seesaw_loop_ref(mat, m, n, k, restarts, max_iter, seed, tol, each=False):
     """The S(k) see-saw one restart at a time, on the unscaled matrix.
 
     Restart r starts from random_sr_vec_ref(default_rng([seed, r])) and
     alternates v <- trunc_k(X w), w <- trunc_k(X^dag v) until a half-step
     has zero gain, a full step gains at most tol * max(1, gain), or
     max_iter steps ran.  Returns (value, iterations, converged, trace) of
-    the first restart with the largest |<v|X|w>|.
+    the first restart with the largest |<v|X|w>|, or with each, the list
+    of every restart's.
     """
-    best = None
+    runs = []
     for ridx in range(restarts):
         rng = np.random.default_rng([seed, ridx])
         w = random_sr_vec_ref(rng, m, n, k)
@@ -266,13 +267,11 @@ def seesaw_loop_ref(mat, m, n, k, restarts, max_iter, seed, tol):
                 converged = True
                 break
             prev = gain2
-        value = float(abs(np.vdot(v, mat @ w)))
-        if best is None or value > best[0]:
-            best = (value, iterations, converged, tuple(trace))
-    return best
+        runs.append((float(abs(np.vdot(v, mat @ w))), iterations, converged, tuple(trace)))
+    return runs if each else max(runs, key=lambda run: run[0])
 
 
-def rayleigh_loop_ref(mat, m, n, k, restarts, max_iter, seed, tol):
+def rayleigh_loop_ref(mat, m, n, k, restarts, max_iter, seed, tol, each=False):
     """The Rayleigh block ascent one restart at a time, with explicit
     isometries.
 
@@ -283,7 +282,7 @@ def rayleigh_loop_ref(mat, m, n, k, restarts, max_iter, seed, tol):
     A restart stops after a step gaining at most tol * max(max |X_ij|,
     gain), which no rescaling of X moves, or after max_iter steps.
     Returns (value, iterations, converged, trace) of the first restart
-    with the largest <v|X|v>.
+    with the largest <v|X|v>, or with each, the list of every restart's.
     """
     peak = float(np.max(np.abs(mat)))
 
@@ -291,7 +290,7 @@ def rayleigh_loop_ref(mat, m, n, k, restarts, max_iter, seed, tol):
         w, vecs = np.linalg.eigh(iso.conj().T @ mat @ iso)
         return w[-1], vecs[:, -1]
 
-    best = None
+    runs = []
     for ridx in range(restarts):
         rng = np.random.default_rng([seed, ridx])
         start = random_sr_vec_ref(rng, m, n, k).reshape(m, n)
@@ -311,10 +310,8 @@ def rayleigh_loop_ref(mat, m, n, k, restarts, max_iter, seed, tol):
             prev = gain2
             frame = np.linalg.qr(b)[0]
         v = (a @ b.T).reshape(-1)
-        value = float(abs(np.vdot(v, mat @ v)))
-        if best is None or value > best[0]:
-            best = (value, iterations, converged, tuple(trace))
-    return best
+        runs.append((float(abs(np.vdot(v, mat @ v))), iterations, converged, tuple(trace)))
+    return runs if each else max(runs, key=lambda run: run[0])
 
 
 def svd_atoms_loop_ref(mat, m, n, k, rank_tol=1e-10, zero_rtol=1e-14):

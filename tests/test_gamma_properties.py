@@ -14,7 +14,7 @@ scalings far from unit scale.
 import pytest
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -62,8 +62,14 @@ def test_sk_norm_never_exceeds_gamma_lower_bound(case):
     assert sk_bounds(x, k, restarts=2).upper <= gamma_bounds(x, k).lower * (1 + REL)
 
 
+# A rank-one operator of subnormal entries, where the dual ket-bra's
+# pairing must still round like the trace norm.
+_SUBNORMAL_RANK_ONE = (np.outer(np.full(4, 1.76e-321 + 1.76e-321j), np.eye(4)[0]), 2, 2, 1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(operator_cases())
+@example(_SUBNORMAL_RANK_ONE)
 def test_best_witness_reaches_the_trace_norm(case):
     mat, m, n, k = case
     x = bipartite(mat, m, n)

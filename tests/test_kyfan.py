@@ -159,6 +159,8 @@ def test_break_index_dual_and_attainer_are_scale_invariant(c):
             assert break_index(c * s, k).r == break_index(s, k).r
             val = k2_dual(x, k)
             assert abs(k2_dual(c * x, k) - c * val) <= 1e-12 * c * val
+            val = k2_norm(x, k)
+            assert abs(k2_norm(c * x, k) - c * val) <= 1e-12 * c * val
             y, _ = k2_dual_attainer(x, k)
             yc, _ = k2_dual_attainer(c * x, k)
             assert np.max(np.abs(yc - y)) <= 1e-12

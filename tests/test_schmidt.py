@@ -117,6 +117,19 @@ def test_truncate_achieves_the_norm():
             assert schmidt_rank(t) <= k
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-13, 1e160, 1e300])
+def test_truncate_and_decompose_hold_at_every_scale(scale):
+    # Only the zero vector is degenerate, and no nonzero scale under- or
+    # overflows the truncation or the coefficients.
+    v = haar_state(np.random.default_rng(45), 3, 4)
+    scaled = pure_state(scale * v.amplitudes, 3, 4, require_normalized=False)
+    for k in (1, 2, 3):
+        t = schmidt_truncate(scaled, k)
+        assert np.max(np.abs(t.amplitudes - schmidt_truncate(v, k).amplitudes)) <= 1e-14
+    coeffs = schmidt_decompose(scaled).coeffs / scale
+    assert np.allclose(coeffs, schmidt_decompose(v).coeffs, rtol=1e-14, atol=0.0)
+
+
 @pytest.mark.parametrize("m, n", [(2, 4), (4, 2), (3, 3)])
 def test_gram_truncation_matches_the_svd(m, n):
     rng = np.random.default_rng(12)

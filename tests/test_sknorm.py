@@ -339,16 +339,41 @@ def _seesaw_cases():
                 yield pytest.param(mat, m, n, k, id=f"{m}x{n}-{kind}-k{k}")
 
 
+def _each_restart(monkeypatch, search, x, k, restarts, max_iter):
+    """search(x, k, 1, max_iter, 7) once per restart of the seed-7 starts,
+    fed that restart's start alone."""
+    m, n = x.dims
+    runs = []
+    for start in sknorm._start_vectors(m, n, k, restarts, 7):
+        monkeypatch.setattr(sknorm, "_start_vectors", lambda *_, s=start: s[None].copy())
+        runs.append(search(x, k, 1, max_iter, 7))
+    monkeypatch.undo()
+    return runs
+
+
+def _check_each_restart(res, runs, refs):
+    """Every single-restart run matches its restart of the reference loop,
+    and the batched result res is, bit for bit, the first best of them."""
+    for run, (value, iterations, converged, trace) in zip(runs, refs, strict=True):
+        assert abs(run.value - value) <= 1e-12 * value
+        assert (run.iterations, run.converged) == (iterations, converged)
+        assert len(run.objective_trace) == len(trace)
+        assert np.allclose(run.objective_trace, trace, rtol=1e-12, atol=0.0)
+    best = max(runs, key=lambda run: run.value)
+    assert (res.value, res.iterations, res.converged, res.objective_trace) == (
+        best.value, best.iterations, best.converged, best.objective_trace)
+    assert np.array_equal(res.v.amplitudes, best.v.amplitudes)
+    assert np.array_equal(res.w.amplitudes, best.w.amplitudes)
+
+
 @pytest.mark.parametrize("mat, m, n, k", list(_seesaw_cases()))
 @pytest.mark.parametrize("restarts, max_iter", [(1, 200), (6, 200), (4, 1)])
-def test_seesaw_matches_the_per_restart_loop(mat, m, n, k, restarts, max_iter):
-    res = seesaw_lower(bipartite(mat, m, n), k, restarts=restarts, max_iter=max_iter, seed=7)
-    value, iterations, converged, trace = seesaw_loop_ref(
-        mat, m, n, k, restarts, max_iter, 7, SEESAW_TOL)
-    assert abs(res.value - value) <= 1e-12 * value
-    assert (res.iterations, res.converged) == (iterations, converged)
-    assert len(res.objective_trace) == len(trace)
-    assert np.allclose(res.objective_trace, trace, rtol=1e-12, atol=0.0)
+def test_seesaw_matches_the_per_restart_loop(monkeypatch, mat, m, n, k, restarts, max_iter):
+    x = bipartite(mat, m, n)
+    res = seesaw_lower(x, k, restarts=restarts, max_iter=max_iter, seed=7)
+    refs = seesaw_loop_ref(mat, m, n, k, restarts, max_iter, 7, SEESAW_TOL, each=True)
+    runs = _each_restart(monkeypatch, seesaw_lower, x, k, restarts, max_iter)
+    _check_each_restart(res, runs, refs)
     if max_iter == 1:
         assert res.iterations == 1
 
@@ -466,14 +491,14 @@ def _shifted(mat, m, n, sign):
 @pytest.mark.parametrize(
     "mat, m, n, k", [case for case in _seesaw_cases() if "-general-" not in case.id])
 @pytest.mark.parametrize("restarts, max_iter", [(1, 200), (6, 200), (4, 1)])
-def test_rayleigh_ascent_matches_the_per_restart_loop(mat, m, n, k, restarts, max_iter):
-    res = _rayleigh_ascent(bipartite(mat, m, n), k, restarts, max_iter, 7)
-    value, iterations, converged, trace = rayleigh_loop_ref(
-        mat, m, n, k, restarts, max_iter, 7, SEESAW_TOL)
-    assert abs(res.value - value) <= 1e-12 * value
-    assert (res.iterations, res.converged) == (iterations, converged)
-    assert len(res.objective_trace) == len(trace) == 2 * res.iterations
-    assert np.allclose(res.objective_trace, trace, rtol=1e-12, atol=0.0)
+def test_rayleigh_ascent_matches_the_per_restart_loop(
+        monkeypatch, mat, m, n, k, restarts, max_iter):
+    x = bipartite(mat, m, n)
+    res = _rayleigh_ascent(x, k, restarts, max_iter, 7)
+    refs = rayleigh_loop_ref(mat, m, n, k, restarts, max_iter, 7, SEESAW_TOL, each=True)
+    runs = _each_restart(monkeypatch, _rayleigh_ascent, x, k, restarts, max_iter)
+    _check_each_restart(res, runs, refs)
+    assert all(len(run.objective_trace) == 2 * run.iterations for run in runs)
 
 
 def test_rayleigh_ascent_trace_is_monotone_and_attained():
