@@ -20,6 +20,8 @@ bounds come from one search driver, _ascend, with two step rules:
 
 A restart stops once a step gains at most SEESAW_TOL * max(floor,
 objective); the see-saw's floor is 1, the ascent's x's largest entry.
+Every restart stops once the best objective is within SEESAW_TOL
+(relative) of the operator norm |x|, which no pairing can exceed.
 
 Block positivity and the radius both reduce to the S(k) norm of a shifted
 operator.  For hermitian z with c = lambda_max(z), cI - z is PSD, and on
@@ -172,6 +174,16 @@ def _start_vectors(m: int, n: int, k: int, restarts: int, seed: int) -> np.ndarr
     return starts
 
 
+@lru_cache(maxsize=64)
+def _start_frames(m: int, n: int, k: int, restarts: int, seed: int) -> np.ndarray:
+    """Each start M's right frame, conjugated: the read-only (restarts, n, k)
+    top-k eigenvectors of M^T conj(M), cached per key like the starts."""
+    mats = _start_vectors(m, n, k, restarts, seed).reshape(-1, m, n)
+    frames = np.ascontiguousarray(_top_eigenpairs(mats.swapaxes(1, 2) @ mats.conj(), k)[1])
+    frames.flags.writeable = False
+    return frames
+
+
 def _zero_pair(m: int, n: int, seed: int) -> SeeSawResult:
     v0 = pure_state(_basis_product_vec(m, n), m, n)
     return SeeSawResult(v0, v0, 0.0, 0, True, seed, ())
@@ -182,16 +194,19 @@ def _ascend(
 ) -> SeeSawResult:
     """Best of restarts ascents on x / 2^e, advanced together.
 
-    kernel(mat, e, m, n, k, starts) returns (step, floor, pairs).  step(live,
-    gains) advances the live restarts, writes their two half-step gains and
-    returns those that moved; the rest retire converged.  A moved restart
-    stops once its step gains at most SEESAW_TOL * max(floor, objective).
-    pairs() returns the v and w stacks; ties go to the first restart.
+    kernel(mat, e, m, n, k, restarts, seed) returns (step, floor, pairs).
+    step(live, gains) advances the live restarts, writes their two
+    half-step gains and returns those that moved; the rest retire
+    converged.  A moved restart stops once its step gains at most
+    SEESAW_TOL * max(floor, objective), and every restart stops, converged,
+    once the best objective is within SEESAW_TOL of the operator norm
+    x.svd[1][0], a certified upper bound.  pairs() returns the v and w
+    stacks; ties go to the first restart.
     """
     m, n = x.dims
     mat, e = _scaled(x)
-    # The see-saw kernel writes into its starts, so it gets its own copy.
-    step, floor, pairs = kernel(mat, e, m, n, k, _start_vectors(m, n, k, restarts, seed).copy())
+    reach = math.ldexp(float(x.svd[1][0]), -e) * (1.0 - SEESAW_TOL)
+    step, floor, pairs = kernel(mat, e, m, n, k, restarts, seed)
     live = np.arange(restarts)
     iterations = np.zeros(restarts, dtype=np.int64)
     converged = np.zeros(restarts, dtype=bool)
@@ -206,6 +221,8 @@ def _ascend(
             converged[np.setdiff1d(live, moved, assume_unique=True)] = True
         g2 = gains[-1][moved, 1]
         stop = g2 - prev[moved] <= SEESAW_TOL * np.maximum(floor, g2)
+        if g2.max(initial=0.0) >= reach:
+            stop[:] = True
         converged[moved[stop]] = True
         prev[moved] = g2
         live = moved[~stop]
@@ -224,9 +241,11 @@ def _ascend(
     )
 
 
-def _seesaw_kernel(mat: np.ndarray, e: int, m: int, n: int, k: int, w: np.ndarray):
+def _seesaw_kernel(mat: np.ndarray, e: int, m: int, n: int, k: int, restarts: int, seed: int):
     """Power half-steps from the starts w; the floor is the see-saw's 1 read
     on x / 2^e, capped short of overflow, where every step stops anyway."""
+    # The kernel writes into its starts, so it takes its own copy.
+    w = _start_vectors(m, n, k, restarts, seed).copy()
     adjoint = mat.conj().T
     v = np.tile(_basis_product_vec(m, n), (w.shape[0], 1))
 
@@ -258,7 +277,8 @@ def seesaw_lower(
     half-step maximizes the objective exactly for the other side fixed, so
     the trace is nondecreasing.  A restart stops once a full step gains at
     most SEESAW_TOL * max(1, objective), once a truncation keeps no
-    Schmidt weight, or after max_iter steps with converged=False.  Restart
+    Schmidt weight, or after max_iter steps with converged=False; all stop
+    once the best is within SEESAW_TOL of |x| (one kept svd of x).  Restart
     r draws from default_rng([seed, r]); ties go to the lowest restart.
     The restarts advance together under _ascend, on x / 2^e with 2^e the
     power of two just above x's largest entry, so no scale overflows.
@@ -289,16 +309,15 @@ def _orthonormal(blocks: np.ndarray) -> np.ndarray:
     return np.linalg.qr(blocks)[0]
 
 
-def _rayleigh_kernel(mat: np.ndarray, e: int, m: int, n: int, k: int, starts: np.ndarray):
-    """Exact block steps on v = vec(A B^T); the floor is x's largest entry."""
+def _rayleigh_kernel(mat: np.ndarray, e: int, m: int, n: int, k: int, restarts: int, seed: int):
+    """Exact block steps on v = vec(A B^T) from the start frames; the floor
+    is x's largest entry."""
     x4 = mat.reshape(m, n, m, n)
     flat_a = x4.reshape(m * n * m, n)
     flat_b = np.ascontiguousarray(x4.transpose(1, 0, 3, 2)).reshape(n * m * n, m)
-    # Each start M's right frame, conjugated: the top-k eigenvectors of M^T conj(M).
-    mats = starts.reshape(-1, m, n)
-    frame_b = np.ascontiguousarray(_top_eigenpairs(mats.swapaxes(1, 2) @ mats.conj(), k)[1])
-    frame_a = np.empty((len(starts), m, k), dtype=np.complex128)
-    block_b = np.empty((len(starts), n, k), dtype=np.complex128)
+    frame_b = _start_frames(m, n, k, restarts, seed).copy()
+    frame_a = np.empty((restarts, m, k), dtype=np.complex128)
+    block_b = np.empty((restarts, n, k), dtype=np.complex128)
 
     def step(live: np.ndarray, gains: np.ndarray) -> np.ndarray:
         gains[live, 0], a = _top_eigenpairs(_reduced_forms(flat_a, m, n, frame_b[live]))
@@ -332,7 +351,8 @@ def _rayleigh_ascent(
 
     The driver, _ascend, is seesaw_lower's; only the stop floor differs:
     x's largest entry in place of the 1, so iteration counts do not depend
-    on x's scale.  value is |<v|x|v>|, a sound lower bound for any x.
+    on x's scale.  Its exit at |x| stops W_k's ascents after one step.
+    value is |<v|x|v>|, a sound lower bound for any x.
     """
     return _ascend(x, k, restarts, max_iter, seed, _rayleigh_kernel)
 

@@ -404,3 +404,45 @@ def k2_dual_loop_ref(sigma, k, tie_guard=1e-12, zero_rtol=1e-14):
     head = float(np.sum(unit[:r] ** 2))
     value = math.ldexp(math.sqrt(head + (k - r) * sigma_tilde**2), exp)
     return (*brk(clean), value)
+
+
+def ascend_no_exit_ref(x, k, restarts, max_iter, seed, kernel):
+    """sknorm._ascend without the operator-norm exit: the same kernels and
+    per-restart stop, so every restart runs until its own step stalls.
+
+    Monkeypatched over sknorm._ascend, it gives the results the searches
+    would give if no restart were stopped at the ceiling.
+    """
+    from entnorms import sknorm
+    from entnorms.schmidt import pure_state
+
+    m, n = x.dims
+    mat, e = sknorm._scaled(x)
+    step, floor, pairs = kernel(mat, e, m, n, k, restarts, seed)
+    live = np.arange(restarts)
+    iterations = np.zeros(restarts, dtype=np.int64)
+    converged = np.zeros(restarts, dtype=bool)
+    prev = np.full(restarts, -np.inf)
+    gains = []
+    for it in range(1, max_iter + 1):
+        iterations[live] = it
+        gains.append(np.full((restarts, 2), np.nan))
+        moved = step(live, gains[-1])
+        converged[np.setdiff1d(live, moved)] = True
+        g2 = gains[-1][moved, 1]
+        stop = g2 - prev[moved] <= sknorm.SEESAW_TOL * np.maximum(floor, g2)
+        converged[moved[stop]] = True
+        prev[moved] = g2
+        live = moved[~stop]
+        if live.size == 0:
+            break
+    v, w = pairs()
+    values = np.ldexp(np.abs(np.vecdot(v, (mat @ w[..., None])[..., 0])), e)
+    best = int(np.argmax(values))
+    trace = np.ldexp(np.stack(gains)[: iterations[best], best].reshape(-1), e)
+    v_best = pure_state(v[best], m, n, require_normalized=False)
+    w_best = v_best if w is v else pure_state(w[best], m, n, require_normalized=False)
+    return sknorm.SeeSawResult(
+        v_best, w_best, float(values[best]), int(iterations[best]), bool(converged[best]),
+        seed, tuple(trace[~np.isnan(trace)].tolist()),
+    )

@@ -1,10 +1,12 @@
 """The searches' fixed work is built once and reused bit for bit.
 
-sknorm._start_vectors caches the seeded starts of every search, and each
+sknorm._start_vectors caches the seeded starts of every search,
+sknorm._start_frames the Rayleigh ascent's frames of those starts, and each
 hermitian operator keeps the PSD shift cI - sigma y of each sign through
-BipartiteOperator.psd_shift.  Neither cache may change a result: a
-second run must repeat the first exactly, and no search may write into a
-cached array.
+BipartiteOperator.psd_shift.  No cache may change a result: a second run
+must repeat the first exactly, and no search may write into a cached
+array.  The operator-norm exit may only stop searches early: where no
+search reaches the operator norm, the results equal a run without it.
 """
 
 import dataclasses
@@ -13,12 +15,14 @@ import numpy as np
 import pytest
 
 import entnorms.linalg as linalg
+import entnorms.sknorm as sknorm
 from entnorms.linalg import bipartite
 from entnorms.sknorm import (
     BlockPositivityResult,
     NormInterval,
     SeeSawResult,
     _rayleigh_ascent,
+    _start_frames,
     _start_vectors,
     block_positivity_check,
     prod_radius_bisect,
@@ -26,13 +30,16 @@ from entnorms.sknorm import (
     seesaw_lower,
     sk_bounds,
 )
+from oracles import ascend_no_exit_ref
 
 
 @pytest.fixture(autouse=True)
 def cold_start_cache():
     _start_vectors.cache_clear()
+    _start_frames.cache_clear()
     yield
     _start_vectors.cache_clear()
+    _start_frames.cache_clear()
 
 
 def _ginibre(rng, d):
@@ -85,6 +92,60 @@ def test_searches_do_not_write_into_the_cached_starts():
     assert _start_vectors(3, 3, 1, 6, 4) is starts
     assert starts.tobytes() == before == _start_vectors.__wrapped__(3, 3, 1, 6, 4).tobytes()
     assert _fingerprint(seesaw_lower(x, 1, restarts=6, seed=4)) == _fingerprint(first)
+
+
+def test_start_frames_are_read_only_and_cached_per_key():
+    frames = _start_frames(3, 4, 2, 8, 5)
+    assert frames.shape == (8, 4, 2) and not frames.flags.writeable
+    with pytest.raises(ValueError):
+        frames[0, 0, 0] = 0.0
+    assert _start_frames(3, 4, 2, 8, 5) is frames
+    assert _start_frames(3, 4, 1, 8, 5) is not frames
+    assert _start_frames(3, 4, 2, 8, 6) is not frames
+    fresh = _start_frames.__wrapped__(3, 4, 2, 8, 5)
+    assert fresh is not frames
+    assert fresh.tobytes() == frames.tobytes()
+    # Each frame spans the right Schmidt vectors, conjugated, of its start.
+    for start, frame in zip(_start_vectors(3, 4, 2, 8, 5), frames, strict=True):
+        mat = start.reshape(3, 4)
+        assert np.allclose(mat.conj() @ frame @ frame.conj().T, mat.conj(), atol=1e-12)
+
+
+def test_searches_do_not_write_into_the_cached_frames():
+    rng = np.random.default_rng(33)
+    y = _hermitian(rng, 3, 3)
+    _, psd = y.psd_shift(1.0)
+    frames = _start_frames(3, 3, 1, 6, 4)
+    before = frames.tobytes()
+    first = _rayleigh_ascent(psd, 1, 6, 500, 4)
+    assert first.iterations > 1
+    block_positivity_check(y, 1, restarts=6, seed=4)
+    prod_radius_bounds(y, 1, restarts=6, seed=4)
+    assert _start_frames.cache_info().hits > 0
+    assert _start_frames(3, 3, 1, 6, 4) is frames
+    assert frames.tobytes() == before == _start_frames.__wrapped__(3, 3, 1, 6, 4).tobytes()
+    assert _fingerprint(_rayleigh_ascent(psd, 1, 6, 500, 4)) == _fingerprint(first)
+
+
+def test_random_operators_give_the_results_of_a_search_without_the_exit(monkeypatch):
+    rng = np.random.default_rng(2024)
+    calls = []
+    for m, n in ((2, 2), (2, 3), (3, 3), (2, 4), (3, 4)):
+        for k in range(1, min(m, n)):
+            g = _ginibre(rng, m * n)
+            rho = bipartite(g @ g.conj().T, m, n, symmetrize=True)
+            y = _hermitian(rng, m, n)
+            x = bipartite(_ginibre(rng, m * n), m, n)
+            calls += [
+                lambda x=x, k=k: sk_bounds(x, k),
+                lambda rho=rho, k=k: sk_bounds(rho, k),
+                lambda rho=rho, k=k: prod_radius_bounds(rho, k),
+                lambda y=y, k=k: prod_radius_bounds(y, k),
+                lambda y=y, k=k: block_positivity_check(y, k),
+            ]
+    results = [call() for call in calls]
+    monkeypatch.setattr(sknorm, "_ascend", ascend_no_exit_ref)
+    assert [_fingerprint(r) for r in results] == [_fingerprint(call()) for call in calls]
 
 
 @pytest.mark.parametrize("m, n", [(2, 2), (3, 3), (2, 4)])

@@ -19,7 +19,7 @@ from entnorms.sknorm import (
     sk_pure,
 )
 from entnorms.states import EnsembleSpec, generate
-from oracles import rayleigh_loop_ref, seesaw_loop_ref
+from oracles import ascend_no_exit_ref, rayleigh_loop_ref, seesaw_loop_ref
 
 SQ7 = np.sqrt(0.7)
 SQ3 = np.sqrt(0.3)
@@ -341,9 +341,10 @@ def _seesaw_cases():
 
 def _each_restart(monkeypatch, search, x, k, restarts, max_iter):
     """search(x, k, 1, max_iter, 7) once per restart of the seed-7 starts,
-    fed that restart's start alone."""
+    fed that restart's start alone; the start frames are then built uncached."""
     m, n = x.dims
     runs = []
+    monkeypatch.setattr(sknorm, "_start_frames", sknorm._start_frames.__wrapped__)
     for start in sknorm._start_vectors(m, n, k, restarts, 7):
         monkeypatch.setattr(sknorm, "_start_vectors", lambda *_, s=start: s[None].copy())
         runs.append(search(x, k, 1, max_iter, 7))
@@ -398,6 +399,8 @@ def _fixed_starts(monkeypatch, *indices):
 def test_seesaw_retires_a_restart_whose_truncation_keeps_no_weight(monkeypatch):
     # On diag(1, 0, 0, 0), x|11> = 0: the first half-step keeps no Schmidt
     # weight, so the restart retires converged after one step, with no gain.
+    # Beside it, the start |00> reaches the operator norm 1 at step 1, where
+    # every restart stops.
     x = bipartite(np.diag([1.0, 0.0, 0.0, 0.0]), 2, 2)
     _fixed_starts(monkeypatch, 3)
     res = seesaw_lower(x, 1, restarts=1)
@@ -405,7 +408,7 @@ def test_seesaw_retires_a_restart_whose_truncation_keeps_no_weight(monkeypatch):
     _fixed_starts(monkeypatch, 3, 0)
     res = seesaw_lower(x, 1, restarts=2)
     assert (res.value, res.iterations, res.converged, res.objective_trace) == (
-        1.0, 2, True, (1.0, 1.0, 1.0, 1.0))
+        1.0, 1, True, (1.0, 1.0))
 
 
 def test_only_sk_bounds_calls_seesaw_lower_through_the_module(monkeypatch):
@@ -455,11 +458,13 @@ def test_seesaw_raises_on_svd_failure():
 
 def test_seesaw_step_raises_on_injected_failure():
     # The starts of a (dims, k, restarts, seed) key are kept from the first
-    # call on, so on a fresh operator only the see-saw's own step can fail.
+    # call on, and the fresh operator keeps the svd its exit test reads, so
+    # only the see-saw's own step can fail.
     rng = np.random.default_rng(22)
     g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
     seesaw_lower(bipartite(g, 3, 3), 1, restarts=3, seed=5)
     fresh = bipartite(g.T, 3, 3)
+    fresh.svd
     inject_svd_failure(True)
     try:
         with pytest.raises(NumericalError):
@@ -581,3 +586,48 @@ def test_radius_brackets_carry_the_winning_pair():
     # product basis, so no search runs and no pair is attached.
     iv = prod_radius_bounds(bipartite(np.diag([1.0, 0.5, 0.2, 0.1]), 2, 2), 1)
     assert (iv.lower, iv.lower_method, iv.certificate) == (1.0, "product_basis", None)
+
+
+def _wk_witness(d, k):
+    """W_k = k I - d |Phi+><Phi+| on C^d (x) C^d."""
+    phi = np.zeros(d * d)
+    phi[:: d + 1] = 1.0 / np.sqrt(d)
+    return k * np.eye(d * d) - d * np.outer(phi, phi)
+
+
+@pytest.mark.parametrize("mat, d, k, radius", [
+    (_wk_witness(3, 1), 3, 1, 1.0),
+    (_wk_witness(3, 2), 3, 2, 2.0),
+    (_wk_witness(4, 1), 4, 1, 1.0),
+    (swap_operator(2).mat, 2, 1, 1.0),
+    (swap_operator(3).mat, 3, 1, 1.0),
+    (swap_operator(3).mat, 3, 2, 1.0),
+])
+def test_witness_radii_are_exact_and_their_ascent_stops_at_the_operator_norm(mat, d, k, radius):
+    # (d - k) I + W_k = d (I - P(Phi+)) and I + F = 2 P(sym) reach their
+    # operator norm on a product vector, so the winning sign's ascent stops
+    # after one step, where it would otherwise run a confirming second one.
+    y = bipartite(mat, d, d)
+    iv = prod_radius_bounds(y, k)
+    assert iv.exact
+    assert abs(iv.lower - radius) <= 1e-12 and abs(iv.upper - radius) <= 1e-12
+    c, x = y.psd_shift(-1.0)
+    res = _rayleigh_ascent(x, k, 32, 500, 0)
+    assert (res.iterations, res.converged) == (1, True)
+    assert abs(res.value - c - radius) <= 1e-12
+    assert ascend_no_exit_ref(x, k, 32, 500, 0, sknorm._rayleigh_kernel).iterations == 2
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 3)])
+def test_seesaw_reaches_the_norm_of_a_product_operator_and_exits(m, n):
+    # |A (x) B|_S(1) = |A| |B| = |A (x) B|: the see-saw stops once within
+    # SEESAW_TOL of it, before its own stall test would.
+    rng = np.random.default_rng(3 + m * n)
+    a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    x = bipartite(np.kron(a, b), m, n)
+    norm = np.linalg.norm(a, 2) * np.linalg.norm(b, 2)
+    res = seesaw_lower(x, 1)
+    assert res.converged
+    assert norm * (1.0 - 2.0 * SEESAW_TOL) <= res.value <= norm * (1.0 + 1e-14)
+    assert res.iterations < ascend_no_exit_ref(x, 1, 32, 500, 0, sknorm._seesaw_kernel).iterations
