@@ -4,6 +4,8 @@ projective tensor norm and robustness, plus realignment-based
 Schmidt-number detection, generation of seeded test ensembles, and a
 command line front end."""
 
+import types
+
 from .criteria import (
     DetectionReport,
     FilterResult,
@@ -84,76 +86,5 @@ from .states import KINDS, EnsembleSpec, generate, haar_unitary, sn_bounded_ense
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BipartiteOperator",
-    "BlockPositivityResult",
-    "BreakIndexResult",
-    "ConjectureProbe",
-    "Decomposition",
-    "DegenerateInputError",
-    "DetectionReport",
-    "DimensionError",
-    "EnsembleSpec",
-    "EntnormsError",
-    "FilterResult",
-    "InfeasibleError",
-    "KINDS",
-    "MatrixNorms",
-    "NormInterval",
-    "NumericalError",
-    "ParameterError",
-    "PreconditionError",
-    "PureState",
-    "SchmidtDecomposition",
-    "SeeSawResult",
-    "SnCertification",
-    "Witness",
-    "best_gamma_witness",
-    "bipartite",
-    "block_positivity_check",
-    "build_decomposition",
-    "certified_upper_from_decomposition",
-    "conjecture_probe",
-    "cross_norm_test",
-    "decomposition_from_mixture",
-    "decomposition_oracle",
-    "detect_schmidt_number",
-    "eig_hermitian",
-    "gamma_bounds",
-    "gamma_pure",
-    "gamma_rank_one",
-    "generate",
-    "haar_unitary",
-    "hs_inner",
-    "is_hermitian",
-    "k2_dual",
-    "k2_norm",
-    "kron",
-    "local_filter",
-    "matrix_norms",
-    "partial_trace",
-    "partial_transpose",
-    "prod_radius_bisect",
-    "prod_radius_bounds",
-    "pure_state",
-    "pure_state_sr_test",
-    "realign",
-    "realign_inverse",
-    "realignment_value",
-    "robustness_bounds",
-    "robustness_to_entanglement",
-    "s_k_dual",
-    "s_k_norm",
-    "schmidt_decompose",
-    "schmidt_rank",
-    "schmidt_truncate",
-    "seesaw_lower",
-    "sk_bounds",
-    "sk_elementary",
-    "sk_pure",
-    "sn_bounded_ensemble",
-    "sn_certify",
-    "svd",
-    "swap_operator",
-    "weak_realignment",
-]
+# Every public name imported above, and no submodule.
+__all__ = sorted(n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, types.ModuleType))

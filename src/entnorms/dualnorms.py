@@ -41,7 +41,7 @@ import numpy as np
 from . import kyfan
 from .errors import InfeasibleError, ParameterError, PreconditionError
 from .kyfan import _check_k
-from .linalg import SINGULAR_ZERO_RTOL, BipartiteOperator, bipartite, realign_inverse, svd
+from .linalg import SINGULAR_ZERO_RTOL, BipartiteOperator, _one_blas_thread, bipartite, realign_inverse, svd
 from .schmidt import DEFAULT_RANK_TOL, PureState
 from .sknorm import (
     NormInterval,
@@ -276,6 +276,7 @@ def _running_sum(terms: np.ndarray) -> float:
     return float(np.cumsum(np.append(0.0, terms))[-1])
 
 
+@_one_blas_thread()
 def best_gamma_witness(x: BipartiteOperator, k: int) -> Witness:
     """Strongest available duality witness for a lower bound on gamma_k(x).
 
@@ -288,7 +289,9 @@ def best_gamma_witness(x: BipartiteOperator, k: int) -> Witness:
     pairing the realigned dual value) and, for hermitian x, each
     eigenprojector normalized by its exact S(k) value.  No ket-bra |v><w|
     of S(k) norm 1 can beat the sign unitary: its pairing |<v|x|w>| is at
-    most |x|_op <= |x|_1.
+    most |x|_op <= |x|_1.  BLAS runs on one thread meanwhile, x's kept
+    decompositions included, and the caller's thread count is restored on
+    return.
     """
     m, n = x.dims
     _check_k(m, n, k)

@@ -16,6 +16,9 @@ Schmidt truncation (through its Gram matrix) and the Rayleigh ascent.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -45,6 +48,62 @@ _SVD_FAILURE_INJECTED = False
 def inject_svd_failure(enabled: bool) -> None:
     global _SVD_FAILURE_INJECTED
     _SVD_FAILURE_INJECTED = bool(enabled)
+
+
+# The (get, set) thread-count pair of each loaded OpenBLAS: ... until the
+# first _one_blas_thread looks for them, then a list, or None if none is found.
+_BLAS_CONTROL = ...
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved: list = []
+
+
+def _find_openblas():
+    """The first exported (get, set) thread-count pair of each OpenBLAS mapped
+    into this process; None without any (no /proc, or another BLAS)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {f[5] for f in map(str.split, maps) if len(f) == 6 and "openblas" in f[5].rsplit("/", 1)[-1]}
+        libs = [ctypes.CDLL(path) for path in sorted(paths)]
+    except OSError:
+        return None
+    pairs = []
+    for lib in libs:
+        for name in ("openblas_%s_num_threads", "openblas_%s_num_threads64_", "scipy_openblas_%s_num_threads64_"):
+            get, set_ = (getattr(lib, name % verb, None) for verb in ("get", "set"))
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype, set_.argtypes, set_.restype = [], ctypes.c_int, [ctypes.c_int], None
+                pairs.append((get, set_))
+                break
+    return pairs or None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with every loaded OpenBLAS on one thread.
+
+    Re-entrant and safe across Python threads: the first to enter saves the
+    thread counts and sets 1, the last to leave restores them, on an
+    exception too.  Meanwhile numpy calls of other Python threads also run
+    on one thread.  Without an OpenBLAS control it does nothing.
+    """
+    global _BLAS_CONTROL, _blas_depth, _blas_saved
+    with _blas_lock:
+        if _BLAS_CONTROL is ...:
+            _BLAS_CONTROL = _find_openblas()
+        if _blas_depth == 0:
+            _blas_saved = [(set_, get()) for get, set_ in _BLAS_CONTROL or ()]
+            for set_, _ in _blas_saved:
+                set_(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                for set_, count in _blas_saved:
+                    set_(count)
 
 
 def _as_complex_matrix(mat, what: str = "matrix", stacked: bool = False) -> np.ndarray:

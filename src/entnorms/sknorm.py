@@ -21,7 +21,9 @@ bounds come from one search driver, _ascend, with two step rules:
 A restart stops once a step gains at most SEESAW_TOL * max(floor,
 objective); the see-saw's floor is 1, the ascent's x's largest entry.
 Every restart stops once the best objective is within SEESAW_TOL
-(relative) of the operator norm |x|, which no pairing can exceed.
+(relative) of the operator norm |x|, which no pairing can exceed.  The
+driver runs its BLAS calls on one thread (linalg._one_blas_thread): at
+8x8 its stacked 64 x 64 products are too small to gain from a second.
 
 Block positivity and the radius both reduce to the S(k) norm of a shifted
 operator.  For hermitian z with c = lambda_max(z), cI - z is PSD, and on
@@ -45,7 +47,7 @@ import numpy as np
 
 from .errors import ParameterError, PreconditionError
 from .kyfan import _check_k
-from .linalg import SINGULAR_ZERO_RTOL, BipartiteOperator, _top_eigenpairs
+from .linalg import SINGULAR_ZERO_RTOL, BipartiteOperator, _one_blas_thread, _top_eigenpairs
 from .schmidt import PureState, _truncate_gram, pure_state, s_k_norm
 
 EXACTNESS_RTOL = 1e-9
@@ -189,6 +191,7 @@ def _zero_pair(m: int, n: int, seed: int) -> SeeSawResult:
     return SeeSawResult(v0, v0, 0.0, 0, True, seed, ())
 
 
+@_one_blas_thread()
 def _ascend(
     x: BipartiteOperator, k: int, restarts: int, max_iter: int, seed: int, kernel
 ) -> SeeSawResult:
@@ -201,7 +204,8 @@ def _ascend(
     SEESAW_TOL * max(floor, objective), and every restart stops, converged,
     once the best objective is within SEESAW_TOL of the operator norm
     x.svd[1][0], a certified upper bound.  pairs() returns the v and w
-    stacks; ties go to the first restart.
+    stacks; ties go to the first restart.  BLAS runs on one thread
+    meanwhile, and the caller's thread count is restored on return.
     """
     m, n = x.dims
     mat, e = _scaled(x)
